@@ -23,17 +23,19 @@
 //! refuted obligations carry the counterexample parameter assignment.
 
 use crate::comp::CompLibrary;
+use crate::fingerprint::{component_hash, ComponentHash};
 use crate::lower::{
     event_var, instantiation_conditions, lower_constraint, lower_param_expr, lower_time,
     out_param_expr, param_var, resolve_param_args, InstanceInfo, LowerEnv, Obligation,
 };
+use crate::reports::PriorReports;
 use lilac_ast::{
     Access, Cmd, Interval, Module, ModuleKind, PortDecl, PortType, Program, Signature,
 };
 use lilac_solver::{
     FactMark, LinExpr, Model, Outcome, Pred, Solver, SolverConfig, SolverStats, Term,
 };
-use lilac_util::diag::{CheckError, Diagnostic, ErrorReporter, LilacError, Result};
+use lilac_util::diag::{CheckError, Diagnostic, DiagnosticKind, ErrorReporter, LilacError, Result};
 use lilac_util::intern::Symbol;
 use lilac_util::par::{try_par_map, WorkerPanic};
 use lilac_util::span::Span;
@@ -70,7 +72,7 @@ pub struct ComponentReport {
 impl ComponentReport {
     /// True if no error diagnostics were produced.
     pub fn is_ok(&self) -> bool {
-        self.diagnostics.iter().all(|d| d.kind != lilac_util::diag::DiagnosticKind::Error)
+        self.diagnostics.iter().all(|d| d.kind != DiagnosticKind::Error)
     }
 }
 
@@ -124,6 +126,28 @@ impl CheckReport {
                     && format!("{:?}", x.diagnostics) == format!("{:?}", y.diagnostics)
             })
     }
+
+    /// The whole-program verdict: the report itself if no component has an
+    /// error diagnostic, otherwise every error diagnostic (in component
+    /// order) as one [`LilacError`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the collected error diagnostics, if there are any.
+    pub fn into_result(self) -> Result<CheckReport> {
+        let errors: Vec<Diagnostic> = self
+            .components
+            .iter()
+            .flat_map(|c| &c.diagnostics)
+            .filter(|d| d.kind == DiagnosticKind::Error)
+            .cloned()
+            .collect();
+        if errors.is_empty() {
+            Ok(self)
+        } else {
+            Err(LilacError::from_diagnostics(errors))
+        }
+    }
 }
 
 /// Knobs controlling how a whole program is checked.
@@ -173,7 +197,7 @@ impl CheckOptions {
 ///
 /// Returns all error diagnostics if any component fails to check; the
 /// successful per-component reports are lost in that case, so callers that
-/// want partial results should call [`check_component`] per module.
+/// want partial results should call [`check_component_with`] per module.
 pub fn check_program(program: &Program) -> Result<CheckReport> {
     check_program_with(program, &CheckOptions::default())
 }
@@ -184,18 +208,76 @@ pub fn check_program(program: &Program) -> Result<CheckReport> {
 ///
 /// See [`check_program`].
 pub fn check_program_with(program: &Program, options: &CheckOptions) -> Result<CheckReport> {
+    drive(program, options, None).map(|checked| checked.report)
+}
+
+/// What [`check_program_incremental`] did: the report plus hit/miss counts.
+#[derive(Clone, Debug)]
+pub struct IncrementalReport {
+    /// The per-component reports (replayed or freshly checked), in module
+    /// order — [`CheckReport::equivalent`] to a from-scratch check.
+    pub report: CheckReport,
+    /// Components whose verdict was replayed from the store.
+    pub hits: usize,
+    /// Components that were re-checked.
+    pub misses: usize,
+}
+
+/// Type-checks a program, replaying stored clean verdicts from `prior` for
+/// every component whose content hash hits, and admitting the fresh clean
+/// verdicts back into `prior` for the next request in the stream.
+///
+/// The produced report is [`CheckReport::equivalent`] to what
+/// [`check_program_with`] returns on the same program — the tenth
+/// differential oracle pins exactly that. Replayed components carry zero
+/// elapsed time and solver effort.
+///
+/// # Errors
+///
+/// Mirrors [`check_program_with`]: library errors and component error
+/// diagnostics are returned as a [`LilacError`] (after `prior` has admitted
+/// the clean components).
+pub fn check_program_incremental(
+    program: &Program,
+    options: &CheckOptions,
+    prior: &mut PriorReports,
+) -> Result<IncrementalReport> {
+    drive(program, options, Some(prior))
+}
+
+/// The one whole-program check loop behind [`check_program_with`] and
+/// [`check_program_incremental`].
+///
+/// With a verdict store, every component whose content hash hits replays
+/// its stored verdict, and the fresh verdicts of the rest are offered back
+/// to the store in component order. Without one, no hash is computed and
+/// every component is checked.
+fn drive(
+    program: &Program,
+    options: &CheckOptions,
+    mut prior: Option<&mut PriorReports>,
+) -> Result<IncrementalReport> {
     let lib = CompLibrary::build(program)?;
     let modules: Vec<&Module> =
         lib.iter().filter(|m| matches!(m.kind, ModuleKind::Comp { .. })).collect();
+    let hashes: Vec<ComponentHash> = match prior {
+        Some(_) => modules.iter().map(|m| component_hash(&lib, m)).collect(),
+        None => Vec::new(),
+    };
+    let mut slots: Vec<Option<ComponentReport>> = (0..modules.len())
+        .map(|i| prior.as_deref().and_then(|p| p.lookup(hashes[i], modules[i].name())))
+        .collect();
+    let missed: Vec<usize> = (0..modules.len()).filter(|&i| slots[i].is_none()).collect();
+    let miss_modules: Vec<&Module> = missed.iter().map(|&i| modules[i]).collect();
     // Components run under per-item panic isolation in both modes: a checker
     // panic (a bug, an injected fault, an exhausted budget) becomes an error
     // diagnostic on its own component instead of tearing down the process and
     // losing every other component's result.
     let results: Vec<std::result::Result<ComponentReport, WorkerPanic>> =
-        if options.parallel && modules.len() > 1 {
-            try_par_map(&modules, |module| check_component_with(&lib, module, options))
+        if options.parallel && miss_modules.len() > 1 {
+            try_par_map(&miss_modules, |module| check_component_with(&lib, module, options))
         } else {
-            modules
+            miss_modules
                 .iter()
                 .map(|module| {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -205,30 +287,25 @@ pub fn check_program_with(program: &Program, options: &CheckOptions) -> Result<C
                 })
                 .collect()
         };
-    let components: Vec<ComponentReport> = results
-        .into_iter()
-        .zip(modules.iter())
-        .map(|(result, module)| result.unwrap_or_else(|p| panic_report(module, &p)))
-        .collect();
-    let mut errors = Vec::new();
-    for comp_report in &components {
-        for d in &comp_report.diagnostics {
-            if d.kind == lilac_util::diag::DiagnosticKind::Error {
-                errors.push(d.clone());
-            }
+    for ((&i, module), result) in missed.iter().zip(&miss_modules).zip(results) {
+        let fresh = result.unwrap_or_else(|p| panic_report(module, &p));
+        if let Some(prior) = prior.as_deref_mut() {
+            prior.admit(hashes[i], &fresh);
         }
+        slots[i] = Some(fresh);
     }
-    if errors.is_empty() {
-        Ok(CheckReport { components })
-    } else {
-        Err(LilacError::from_diagnostics(errors))
-    }
+    let components = slots.into_iter().map(|s| s.expect("every slot filled")).collect();
+    Ok(IncrementalReport {
+        report: CheckReport { components }.into_result()?,
+        hits: modules.len() - missed.len(),
+        misses: missed.len(),
+    })
 }
 
 /// The report for a component whose checker panicked: one error diagnostic
 /// anchored at the component's name, no obligations counted (the count up to
 /// the panic is unrecoverable and a partial count would be misleading).
-pub(crate) fn panic_report(module: &Module, panic: &WorkerPanic) -> ComponentReport {
+fn panic_report(module: &Module, panic: &WorkerPanic) -> ComponentReport {
     ComponentReport {
         name: module.name(),
         obligations: 0,
@@ -242,11 +319,6 @@ pub(crate) fn panic_report(module: &Module, panic: &WorkerPanic) -> ComponentRep
         degraded: None,
         lints: Vec::new(),
     }
-}
-
-/// Type-checks a single component against a library with default options.
-pub fn check_component(lib: &CompLibrary<'_>, module: &Module) -> ComponentReport {
-    check_component_with(lib, module, &CheckOptions::default())
 }
 
 /// Type-checks a single component with explicit options.

@@ -25,26 +25,18 @@
 //! a callee's *body* changes nothing upstream — which is precisely the
 //! modular-checking contract.
 //!
-//! [`check_program_incremental`] threads a [`PriorReports`] store across a
-//! request stream: components whose hash hits a stored **clean** report are
-//! not re-checked. Only clean, non-degraded reports are ever stored —
-//! diagnostics embed source locations and file ids that are not stable
-//! across parses, and degraded verdicts describe a fault, not the program —
-//! so a cache hit can never replay a stale rejection or a faulted answer.
+//! [`crate::check_program_incremental`] threads a [`crate::PriorReports`]
+//! store keyed by these hashes across a request stream: components whose
+//! hash hits a stored clean verdict are not re-checked.
 
-use crate::check::{
-    check_component_with, panic_report, CheckOptions, CheckReport, ComponentReport,
-};
 use crate::comp::CompLibrary;
 use lilac_ast::{
     Access, Cmd, Constraint, Ident, Interval, Module, ModuleKind, ParamExpr, PortDecl, PortType,
-    Program, Signature, TimeExpr,
+    Signature, TimeExpr,
 };
-use lilac_util::diag::{LilacError, Result};
+use lilac_util::fnv;
 use lilac_util::intern::Symbol;
-use lilac_util::par::{try_par_map, WorkerPanic};
 use std::collections::{HashMap, HashSet};
-use std::time::Duration;
 
 /// The 128-bit content address of one component's checking inputs.
 ///
@@ -77,9 +69,6 @@ impl std::fmt::Display for ComponentHash {
 // The canonical walk
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
 /// Two FNV-1a accumulators fed the same canonical byte stream. The second
 /// rotates its state between bytes so the streams decorrelate.
 struct Stream {
@@ -89,11 +78,11 @@ struct Stream {
 
 impl Stream {
     fn new() -> Stream {
-        Stream { a: FNV_OFFSET, b: FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15 }
+        Stream { a: fnv::OFFSET, b: fnv::OFFSET ^ 0x9e37_79b9_7f4a_7c15 }
     }
     fn byte(&mut self, x: u8) {
-        self.a = (self.a ^ x as u64).wrapping_mul(FNV_PRIME);
-        self.b = (self.b.rotate_left(7) ^ x as u64).wrapping_mul(FNV_PRIME);
+        self.a = (self.a ^ x as u64).wrapping_mul(fnv::PRIME);
+        self.b = (self.b.rotate_left(7) ^ x as u64).wrapping_mul(fnv::PRIME);
     }
     fn bytes(&mut self, xs: &[u8]) {
         for &x in xs {
@@ -497,158 +486,13 @@ pub fn program_component_hashes(lib: &CompLibrary<'_>) -> Vec<(Symbol, Component
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Incremental re-checking
-// ---------------------------------------------------------------------------
-
-/// Clean component reports from earlier requests, keyed by content hash.
-///
-/// Only clean reports — no diagnostics, no degraded marker — are admitted
-/// (see the module docs for why), so a hit can only ever replay an accept
-/// that the checker would reproduce verbatim.
-#[derive(Clone, Debug, Default)]
-pub struct PriorReports {
-    map: HashMap<u128, ComponentReport>,
-}
-
-impl PriorReports {
-    /// An empty store.
-    pub fn new() -> PriorReports {
-        PriorReports::default()
-    }
-
-    /// Number of stored reports.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Admits a report if it is clean (no diagnostics, not degraded).
-    /// Returns whether it was stored.
-    pub fn insert(&mut self, hash: ComponentHash, report: &ComponentReport) -> bool {
-        if report.diagnostics.is_empty() && report.degraded.is_none() {
-            self.map.insert(hash.key(), report.clone());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Looks up a stored clean report, rebinding it to the current
-    /// component's name (the hash is alpha-invariant, so the stored name may
-    /// differ) and zeroing `elapsed` (no checking work was done).
-    pub fn lookup(&self, hash: ComponentHash, name: Symbol) -> Option<ComponentReport> {
-        self.map.get(&hash.key()).map(|stored| ComponentReport {
-            name,
-            elapsed: Duration::ZERO,
-            ..stored.clone()
-        })
-    }
-
-    /// Absorbs every clean component report of a checked program, keyed by
-    /// the hashes of `lib`. Components without a matching report (or with
-    /// diagnostics or a degraded marker) are skipped.
-    pub fn absorb(&mut self, lib: &CompLibrary<'_>, report: &CheckReport) {
-        for (name, hash) in program_component_hashes(lib) {
-            if let Some(comp) = report.components.iter().find(|c| c.name == name) {
-                self.insert(hash, comp);
-            }
-        }
-    }
-}
-
-/// What [`check_program_incremental`] did: the report plus hit/miss counts.
-#[derive(Clone, Debug)]
-pub struct IncrementalReport {
-    /// The per-component reports (reused or freshly checked), in module
-    /// order — [`CheckReport::equivalent`] to a from-scratch check.
-    pub report: CheckReport,
-    /// Components whose verdict was replayed from `prior`.
-    pub hits: usize,
-    /// Components that were re-checked.
-    pub misses: usize,
-}
-
-/// Type-checks a program, reusing stored clean verdicts from `prior` for
-/// every component whose content hash hits, and absorbing the fresh clean
-/// verdicts back into `prior` for the next request in the stream.
-///
-/// The produced report is [`CheckReport::equivalent`] to what
-/// [`crate::check_program_with`] returns on the same program — the tenth
-/// differential oracle pins exactly that.
-///
-/// # Errors
-///
-/// Mirrors [`crate::check_program_with`]: library errors and component
-/// error diagnostics are returned as a [`LilacError`] (after `prior` has
-/// absorbed the clean components).
-pub fn check_program_incremental(
-    program: &Program,
-    options: &CheckOptions,
-    prior: &mut PriorReports,
-) -> Result<IncrementalReport> {
-    let lib = CompLibrary::build(program)?;
-    let modules: Vec<&Module> =
-        lib.iter().filter(|m| matches!(m.kind, ModuleKind::Comp { .. })).collect();
-    let hashes: Vec<ComponentHash> = modules.iter().map(|m| component_hash(&lib, m)).collect();
-    let mut slots: Vec<Option<ComponentReport>> =
-        modules.iter().zip(hashes.iter()).map(|(m, h)| prior.lookup(*h, m.name())).collect();
-    let hits = slots.iter().filter(|s| s.is_some()).count();
-    let missed: Vec<(usize, &Module)> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_none())
-        .map(|(i, _)| (i, modules[i]))
-        .collect();
-    let misses = missed.len();
-    // Misses run exactly like `check_program_with`: parallel when asked,
-    // per-item panic isolation either way.
-    let miss_modules: Vec<&Module> = missed.iter().map(|&(_, m)| m).collect();
-    let results: Vec<std::result::Result<ComponentReport, WorkerPanic>> =
-        if options.parallel && miss_modules.len() > 1 {
-            try_par_map(&miss_modules, |module| check_component_with(&lib, module, options))
-        } else {
-            miss_modules
-                .iter()
-                .map(|module| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        check_component_with(&lib, module, options)
-                    }))
-                    .map_err(|p| WorkerPanic::from_payload(&*p))
-                })
-                .collect()
-        };
-    for ((slot_idx, module), result) in missed.iter().zip(results) {
-        let fresh = result.unwrap_or_else(|p| panic_report(module, &p));
-        prior.insert(hashes[*slot_idx], &fresh);
-        slots[*slot_idx] = Some(fresh);
-    }
-    let components: Vec<ComponentReport> =
-        slots.into_iter().map(|s| s.expect("every slot filled")).collect();
-    let mut errors = Vec::new();
-    for comp_report in &components {
-        for d in &comp_report.diagnostics {
-            if d.kind == lilac_util::diag::DiagnosticKind::Error {
-                errors.push(d.clone());
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(IncrementalReport { report: CheckReport { components }, hits, misses })
-    } else {
-        Err(LilacError::from_diagnostics(errors))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::check_program_with;
-    use lilac_ast::parse_program;
+    use crate::check::{check_program_incremental, check_program_with, CheckOptions};
+    use crate::reports::PriorReports;
+    use lilac_ast::{parse_program, Program};
+    use std::time::Duration;
 
     fn parse(src: &str) -> Program {
         let (prog, _) = parse_program("t.lilac", src).expect("test program parses");
@@ -823,24 +667,5 @@ mod tests {
         let err2 = check_program_incremental(&bad, &options, &mut prior)
             .expect_err("still rejected on replay");
         assert_eq!(format!("{err}"), format!("{err2}"));
-    }
-
-    #[test]
-    fn degraded_reports_are_never_admitted() {
-        let prog = parse(BASE);
-        let lib = CompLibrary::build(&prog).unwrap();
-        let hs = program_component_hashes(&lib);
-        let report = check_program_with(&prog, &CheckOptions::default()).unwrap();
-        let mut degraded = report.components[0].clone();
-        degraded.degraded = Some(lilac_util::diag::CheckError::new(
-            lilac_util::diag::CheckErrorKind::WorkerPanic,
-            lilac_util::diag::Severity::Recoverable,
-            "injected",
-        ));
-        let mut prior = PriorReports::new();
-        assert!(!prior.insert(hs[0].1, &degraded), "degraded reports must be refused");
-        assert!(prior.is_empty());
-        assert!(prior.insert(hs[0].1, &report.components[0]));
-        assert_eq!(prior.len(), 1);
     }
 }

@@ -1,14 +1,15 @@
-//! The content-addressed [`ComponentReport`] cache behind
-//! [`crate::CheckService::check_incremental`].
+//! The content-addressed verdict store behind incremental re-checking.
 //!
-//! Entries are keyed by [`lilac_core::ComponentHash`] — the alpha- and
+//! [`PriorReports`] is threaded across a request stream by
+//! [`crate::check_program_incremental`] and kept for a service's lifetime by
+//! `lilac-service`. Entries are keyed by [`ComponentHash`] — the alpha- and
 //! location-invariant 128-bit address of a component's checking inputs —
 //! so a hit means the checker has already discharged this exact footprint
 //! (its module plus the signatures of everything it references) and the
-//! stored verdict can be replayed without dispatching to the pool.
-//! Invalidation needs no bookkeeping: editing a callee's signature changes
-//! every (transitive) caller's hash, so stale entries are simply never
-//! addressed again and age out of the FIFO capacity bound.
+//! stored verdict can be replayed without re-checking. Invalidation needs
+//! no bookkeeping: editing a callee's signature changes every (transitive)
+//! caller's hash, so stale entries are simply never addressed again and age
+//! out of the FIFO capacity bound.
 //!
 //! Only **clean** verdicts are admitted: no diagnostics (their spans and
 //! file ids are not stable across parses) and no degraded marker (a faulted
@@ -22,7 +23,8 @@
 //! themselves are cross-process stable (FNV-1a over a canonical encoding,
 //! no interner ids), so an image written by one run hits in the next.
 
-use lilac_core::{ComponentHash, ComponentReport};
+use crate::check::ComponentReport;
+use crate::fingerprint::ComponentHash;
 use lilac_solver::persist::{
     open_image, quarantine_image, save_image, seal_image, CacheLoadError, CacheLoadStatus,
 };
@@ -31,10 +33,10 @@ use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::time::Duration;
 
-/// Magic prefix of a serialized report-cache image.
-pub const REPORT_MAGIC: &[u8; 8] = b"LILACRPC";
-/// Current report-cache format version.
-pub const REPORT_VERSION: u32 = 1;
+/// Magic prefix of a serialized verdict-store image.
+const REPORT_MAGIC: &[u8; 8] = b"LILACRPC";
+/// Current verdict-store format version.
+const REPORT_VERSION: u32 = 1;
 
 /// What a clean verdict boils down to: the obligation and proof counts.
 /// (Diagnostics are empty by admission policy; name, timing, and solver
@@ -45,18 +47,33 @@ struct Entry {
     proved: u64,
 }
 
-/// A bounded FIFO cache of clean component verdicts, keyed by content hash.
+/// A bounded FIFO store of clean component verdicts, keyed by content hash.
 #[derive(Clone, Debug)]
-pub struct ReportCache {
+pub struct PriorReports {
     map: HashMap<u128, Entry>,
     order: VecDeque<u128>,
     capacity: usize,
 }
 
-impl ReportCache {
-    /// An empty cache holding at most `capacity` entries (FIFO eviction).
-    pub fn new(capacity: usize) -> ReportCache {
-        ReportCache { map: HashMap::new(), order: VecDeque::new(), capacity: capacity.max(1) }
+impl Default for PriorReports {
+    fn default() -> PriorReports {
+        PriorReports::new()
+    }
+}
+
+impl PriorReports {
+    /// Capacity of [`PriorReports::new`].
+    pub const DEFAULT_CAPACITY: usize = 65_536;
+
+    /// An empty store holding at most [`PriorReports::DEFAULT_CAPACITY`]
+    /// entries.
+    pub fn new() -> PriorReports {
+        PriorReports::with_capacity(PriorReports::DEFAULT_CAPACITY)
+    }
+
+    /// An empty store holding at most `capacity` entries (FIFO eviction).
+    pub fn with_capacity(capacity: usize) -> PriorReports {
+        PriorReports { map: HashMap::new(), order: VecDeque::new(), capacity: capacity.max(1) }
     }
 
     /// Stored entries.
@@ -75,15 +92,14 @@ impl ReportCache {
         if !report.diagnostics.is_empty() || report.degraded.is_some() {
             return false;
         }
-        let key = hash.key();
-        if self
-            .map
-            .insert(
-                key,
-                Entry { obligations: report.obligations as u64, proved: report.proved as u64 },
-            )
-            .is_none()
-        {
+        let entry = Entry { obligations: report.obligations as u64, proved: report.proved as u64 };
+        self.insert(hash.key(), entry);
+        true
+    }
+
+    /// Stores `entry`, evicting the oldest keys past the capacity bound.
+    fn insert(&mut self, key: u128, entry: Entry) {
+        if self.map.insert(key, entry).is_none() {
             self.order.push_back(key);
             while self.map.len() > self.capacity {
                 if let Some(old) = self.order.pop_front() {
@@ -91,13 +107,13 @@ impl ReportCache {
                 }
             }
         }
-        true
     }
 
     /// Replays a stored clean verdict as a [`ComponentReport`] bound to the
-    /// current component's name. Obligation and proof counts are alpha- and
+    /// current component's name (the hash is alpha-invariant, so the stored
+    /// name may differ). Obligation and proof counts are alpha- and
     /// location-invariant, so the replay is
-    /// [`lilac_core::CheckReport::equivalent`] to what re-checking would
+    /// [`crate::CheckReport::equivalent`] to what re-checking would
     /// produce; elapsed time and solver effort are zero — no work was done.
     pub fn lookup(&self, hash: ComponentHash, name: Symbol) -> Option<ComponentReport> {
         self.map.get(&hash.key()).map(|e| ComponentReport {
@@ -112,7 +128,7 @@ impl ReportCache {
         })
     }
 
-    /// Serializes the cache to a self-validating image (see
+    /// Serializes the store to a self-validating image (see
     /// [`lilac_solver::persist`] for the envelope). Entries are written in
     /// key order, so equal contents produce equal bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -130,13 +146,13 @@ impl ReportCache {
     }
 
     /// Validates and deserializes an image produced by
-    /// [`ReportCache::to_bytes`], with the given capacity bound.
+    /// [`PriorReports::to_bytes`], with the given capacity bound.
     ///
     /// # Errors
     ///
     /// Any header or payload inconsistency is a [`CacheLoadError`]; this
     /// never panics on bad input.
-    pub fn from_bytes(bytes: &[u8], capacity: usize) -> Result<ReportCache, CacheLoadError> {
+    pub fn from_bytes(bytes: &[u8], capacity: usize) -> Result<PriorReports, CacheLoadError> {
         let payload = open_image(REPORT_MAGIC, REPORT_VERSION, bytes)?;
         if payload.len() < 8 {
             return Err(CacheLoadError::Malformed("payload shorter than its count"));
@@ -146,7 +162,7 @@ impl ReportCache {
         if body.len() != count.saturating_mul(32) {
             return Err(CacheLoadError::Malformed("entry area does not match count"));
         }
-        let mut cache = ReportCache::new(capacity);
+        let mut store = PriorReports::with_capacity(capacity);
         for chunk in body.chunks_exact(32) {
             let key = u128::from_le_bytes(chunk[0..16].try_into().expect("16 bytes"));
             let entry = Entry {
@@ -156,19 +172,12 @@ impl ReportCache {
             if entry.proved > entry.obligations {
                 return Err(CacheLoadError::Malformed("proved exceeds obligations"));
             }
-            if cache.map.insert(key, entry).is_none() {
-                cache.order.push_back(key);
-            }
+            store.insert(key, entry);
         }
-        while cache.map.len() > cache.capacity {
-            if let Some(old) = cache.order.pop_front() {
-                cache.map.remove(&old);
-            }
-        }
-        Ok(cache)
+        Ok(store)
     }
 
-    /// Writes the cache image to `path` (temp file + atomic rename).
+    /// Writes the store's image to `path` (temp file + atomic rename).
     ///
     /// # Errors
     ///
@@ -181,21 +190,24 @@ impl ReportCache {
     /// The same recovery policy as [`lilac_solver::SharedCache`]: a missing
     /// file starts cold, a valid image loads warm, and an invalid image is
     /// quarantined to `<path>.quarantined` before starting cold.
-    pub fn load_or_quarantine(path: &Path, capacity: usize) -> (ReportCache, CacheLoadStatus) {
+    pub fn load_or_quarantine(path: &Path, capacity: usize) -> (PriorReports, CacheLoadStatus) {
         if !path.exists() {
-            return (ReportCache::new(capacity), CacheLoadStatus::Missing);
+            return (PriorReports::with_capacity(capacity), CacheLoadStatus::Missing);
         }
         let loaded = std::fs::read(path)
             .map_err(|e| CacheLoadError::Io(e.to_string()))
-            .and_then(|bytes| ReportCache::from_bytes(&bytes, capacity));
+            .and_then(|bytes| PriorReports::from_bytes(&bytes, capacity));
         match loaded {
-            Ok(cache) => {
-                let entries = cache.len();
-                (cache, CacheLoadStatus::Loaded { entries })
+            Ok(store) => {
+                let entries = store.len();
+                (store, CacheLoadStatus::Loaded { entries })
             }
             Err(error) => {
                 let moved_to = quarantine_image(path);
-                (ReportCache::new(capacity), CacheLoadStatus::Quarantined { error, moved_to })
+                (
+                    PriorReports::with_capacity(capacity),
+                    CacheLoadStatus::Quarantined { error, moved_to },
+                )
             }
         }
     }
@@ -227,7 +239,7 @@ mod tests {
 
     #[test]
     fn admit_lookup_rebinds_name_and_zeroes_effort() {
-        let mut cache = ReportCache::new(16);
+        let mut cache = PriorReports::with_capacity(16);
         assert!(cache.admit(hash(1), &clean_report("A", 7, 7)));
         let replay = cache.lookup(hash(1), Symbol::intern("B")).expect("hit");
         assert_eq!(replay.name.as_str(), "B");
@@ -239,7 +251,7 @@ mod tests {
 
     #[test]
     fn dirty_and_degraded_reports_are_refused() {
-        let mut cache = ReportCache::new(16);
+        let mut cache = PriorReports::with_capacity(16);
         let mut with_diag = clean_report("A", 3, 2);
         with_diag.diagnostics.push(Diagnostic::error("refuted", Span::dummy()));
         assert!(!cache.admit(hash(1), &with_diag), "reports with diagnostics must be refused");
@@ -252,7 +264,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_first() {
-        let mut cache = ReportCache::new(2);
+        let mut cache = PriorReports::with_capacity(2);
         cache.admit(hash(1), &clean_report("A", 1, 1));
         cache.admit(hash(2), &clean_report("B", 2, 2));
         cache.admit(hash(3), &clean_report("C", 3, 3));
@@ -264,12 +276,12 @@ mod tests {
 
     #[test]
     fn image_round_trips_and_is_deterministic() {
-        let mut cache = ReportCache::new(64);
+        let mut cache = PriorReports::with_capacity(64);
         for n in 0..20u64 {
             cache.admit(hash(n), &clean_report("X", n as usize + 1, n as usize));
         }
         let image = cache.to_bytes();
-        let reloaded = ReportCache::from_bytes(&image, 64).expect("image validates");
+        let reloaded = PriorReports::from_bytes(&image, 64).expect("image validates");
         assert_eq!(reloaded.len(), cache.len());
         for n in 0..20u64 {
             assert_eq!(
@@ -283,7 +295,7 @@ mod tests {
     #[test]
     fn corruption_is_rejected_not_panicked() {
         let image = {
-            let mut cache = ReportCache::new(8);
+            let mut cache = PriorReports::with_capacity(8);
             cache.admit(hash(9), &clean_report("A", 4, 4));
             cache.to_bytes()
         };
@@ -291,14 +303,14 @@ mod tests {
             let mut bad = image.clone();
             bad[at] ^= 1 << (at % 8);
             assert!(
-                ReportCache::from_bytes(&bad, 8).is_err(),
+                PriorReports::from_bytes(&bad, 8).is_err(),
                 "bit flip at byte {at} must be rejected"
             );
         }
         for keep in [0, 7, 27, image.len() - 1] {
-            assert!(ReportCache::from_bytes(&image[..keep], 8).is_err());
+            assert!(PriorReports::from_bytes(&image[..keep], 8).is_err());
         }
-        assert!(ReportCache::from_bytes(b"junk", 8).is_err());
+        assert!(PriorReports::from_bytes(b"junk", 8).is_err());
     }
 
     #[test]
@@ -308,14 +320,14 @@ mod tests {
         let path = dir.join("reports.bin");
         let _ = std::fs::remove_file(&path);
 
-        let (cold, status) = ReportCache::load_or_quarantine(&path, 8);
+        let (cold, status) = PriorReports::load_or_quarantine(&path, 8);
         assert!(cold.is_empty());
         assert_eq!(status, CacheLoadStatus::Missing);
 
-        let mut cache = ReportCache::new(8);
+        let mut cache = PriorReports::with_capacity(8);
         cache.admit(hash(1), &clean_report("A", 2, 2));
         assert_eq!(cache.save(&path).expect("save"), 1);
-        let (reloaded, status) = ReportCache::load_or_quarantine(&path, 8);
+        let (reloaded, status) = PriorReports::load_or_quarantine(&path, 8);
         assert_eq!(status, CacheLoadStatus::Loaded { entries: 1 });
         assert!(reloaded.lookup(hash(1), Symbol::intern("A")).is_some());
 
@@ -323,7 +335,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x10;
         std::fs::write(&path, &bytes).expect("write corrupted");
-        let (cold, status) = ReportCache::load_or_quarantine(&path, 8);
+        let (cold, status) = PriorReports::load_or_quarantine(&path, 8);
         assert!(cold.is_empty(), "corrupt image must rebuild cold");
         match status {
             CacheLoadStatus::Quarantined { error, moved_to } => {

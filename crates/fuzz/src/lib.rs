@@ -43,9 +43,9 @@
 //! 10. an editing session over each program — alpha-rename, module
 //!     reorder, a one-component body edit, a callee-signature edit —
 //!     re-checked incrementally ([`lilac_core::check_program_incremental`])
-//!     with prior reports threaded through, reaches the from-scratch
-//!     verdict on every request, and the hash-preserving edits replay
-//!     entirely from cache (the incremental re-checking oracle).
+//!     against one [`lilac_core::PriorReports`] verdict store, reaches the
+//!     from-scratch verdict on every request, and the hash-preserving edits
+//!     replay entirely from cache (the incremental re-checking oracle).
 //!
 //! A sixth of the cases carry a deliberate one-cycle timing fault and must
 //! be *rejected* — identically — by every checker configuration.
@@ -171,10 +171,11 @@ pub struct FuzzConfig {
     pub cache_file: Option<std::path::PathBuf>,
     /// Route the service oracle's requests through
     /// [`CheckService::check_incremental`](lilac_service::CheckService) so
-    /// the content-addressed report cache replays clean verdicts across
-    /// cases. Like `faults`, this shapes only *how* the service answers:
-    /// verdicts — and therefore stdout and the fingerprint — must be
-    /// byte-identical with and without it.
+    /// the content-addressed report cache (a
+    /// [`PriorReports`](lilac_core::PriorReports) store) replays clean
+    /// verdicts across cases. Like `faults`, this shapes only *how* the
+    /// service answers: verdicts — and therefore stdout and the
+    /// fingerprint — must be byte-identical with and without it.
     pub incremental: bool,
 }
 
@@ -262,15 +263,7 @@ pub struct FuzzSummary {
     pub fingerprint: u64,
 }
 
-/// FNV-1a accumulation (stable across platforms and runs).
-pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = if hash == 0 { 0xcbf2_9ce4_8422_2325 } else { hash };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+pub use lilac_util::fnv::fnv1a;
 
 /// Seed of case `i` under base seed `base`: a SplitMix64 scramble so that
 /// consecutive cases are decorrelated but the mapping is stable.

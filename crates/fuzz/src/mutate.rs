@@ -5,8 +5,9 @@
 //! actually makes. Two of the mutations — [`Mutation::Rename`] and
 //! [`Mutation::Reorder`] — must be invisible to the content hash (it is
 //! alpha- and order-invariant by construction), so a warm
-//! [`PriorReports`](lilac_core::PriorReports) must replay every clean
-//! verdict. The other two — [`Mutation::EditBody`] and
+//! [`PriorReports`](lilac_core::PriorReports) verdict store — the one store
+//! type behind both the one-shot and the service incremental paths — must
+//! replay every clean verdict. The other two — [`Mutation::EditBody`] and
 //! [`Mutation::EditCalleeSignature`] — change exactly one component's
 //! checking inputs (respectively: that component; the callee plus every
 //! transitive caller whose signature closure contains it), and the

@@ -61,9 +61,9 @@
 //!     program (alpha-rename everything, reorder the modules, edit one
 //!     component's body, edit an instantiated callee's signature; see
 //!     [`crate::mutate`]), re-checked request by request through
-//!     [`lilac_core::check_program_incremental`] with the prior requests'
-//!     reports threaded through, must reach exactly the from-scratch
-//!     verdict on every request. Renames and reorders over a fully clean
+//!     [`lilac_core::check_program_incremental`] against one
+//!     [`PriorReports`] store holding the prior requests' clean verdicts,
+//!     must reach exactly the from-scratch verdict on every request. Renames and reorders over a fully clean
 //!     predecessor must additionally be *complete cache hits* — the
 //!     content hash is alpha-, order-, and location-invariant by
 //!     construction, and a single miss there is a hash instability. Active
@@ -875,9 +875,9 @@ fn simulate(scenario: &Scenario, synth: &Synthesized) -> Result<DriveReport, Fai
 /// Oracle 10: content-addressed incremental re-checking. Replays an editing
 /// session over the program — alpha-rename everything, reorder the modules,
 /// edit one component's body, edit an instantiated callee's signature
-/// ([`Mutation::SESSION`]) — re-checking each revision incrementally with
-/// the prior revisions' reports threaded through, and demands the
-/// from-scratch verdict on every request. Each mutant is printed and
+/// ([`Mutation::SESSION`]) — re-checking each revision incrementally
+/// against one [`PriorReports`] store of the prior revisions' clean
+/// verdicts, and demands the from-scratch verdict on every request. Each mutant is printed and
 /// re-parsed first, so replay hits also prove the content hash ignores
 /// spans and file identities. Renames and reorders over a fully clean
 /// predecessor must be complete cache hits. The mutation stream draws from

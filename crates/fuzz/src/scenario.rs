@@ -17,6 +17,7 @@
 //! the optimized and naive pipelines — which exercises the refutation and
 //! counterexample paths a well-typed-only corpus would never reach.
 
+use lilac_ir::mask;
 use lilac_util::rng::Rng;
 
 /// Signal class: either the component's `#W`-wide datapath or a 1-bit
@@ -232,13 +233,6 @@ pub struct Scenario {
     pub stimuli: Vec<Vec<u64>>,
 }
 
-/// Masks `v` to `w` bits (`w >= 64` passes through). Delegates to the one
-/// canonical [`lilac_ir::mask`] so the scenario interpreter's width
-/// semantics cannot drift from the simulators'.
-pub fn mask(v: u64, w: u64) -> u64 {
-    lilac_ir::mask(v, w.min(64) as u32)
-}
-
 /// Class of each step in a step list (inputs are [`Cls::W`]).
 pub fn classes(steps: &[Step]) -> Vec<Cls> {
     let mut out: Vec<Cls> = Vec::with_capacity(steps.len());
@@ -291,15 +285,18 @@ pub fn sub_latency(sub: &SubScenario) -> u64 {
 /// the input vector that *fed* it).
 pub fn eval_steps(steps: &[Step], inputs: &[u64], width: u64, subs: &[SubScenario]) -> Vec<u64> {
     let cls = classes(steps);
+    // Masking goes through the one canonical `lilac_ir::mask`, so the
+    // interpreter's width semantics cannot drift from the simulators'.
+    let bits = width.min(64) as u32;
     let w_of = |c: Cls| match c {
-        Cls::W => width,
+        Cls::W => bits,
         Cls::One => 1,
     };
     let mut vals: Vec<u64> = Vec::with_capacity(steps.len());
     for (i, step) in steps.iter().enumerate() {
         let w = w_of(cls[i]);
         let v = match step {
-            Step::Input(k) => mask(inputs[*k], width),
+            Step::Input(k) => mask(inputs[*k], bits),
             Step::Comb(op, a, b) => mask(op.eval(vals[*a], vals[*b]), w),
             Step::Not(a) => mask(!vals[*a], w),
             Step::Cmp(CmpKind::Eq, a, b) => (vals[*a] == vals[*b]) as u64,
@@ -329,6 +326,7 @@ pub fn eval_steps(steps: &[Step], inputs: &[u64], width: u64, subs: &[SubScenari
 /// modelled as wrapping integer ops masked to `#W`, matching `lilac-sim`'s
 /// functional core model).
 pub fn eval_gen(a: u64, b: u64, width: u64) -> u64 {
+    let width = width.min(64) as u32;
     mask(mask(a.wrapping_add(b), width) ^ mask(a.wrapping_mul(b), width), width)
 }
 
@@ -474,8 +472,9 @@ pub fn generate(seed: u64) -> Scenario {
     };
 
     let n_stim = 3 + rng.index(4);
-    let stimuli =
-        (0..n_stim).map(|_| (0..n_inputs).map(|_| mask(rng.next_u64(), width)).collect()).collect();
+    let stimuli = (0..n_stim)
+        .map(|_| (0..n_inputs).map(|_| mask(rng.next_u64(), width as u32)).collect())
+        .collect();
 
     Scenario { seed, width, n_inputs, subs, steps, outputs, gen_block, sabotage, stimuli }
 }

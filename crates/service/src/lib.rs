@@ -23,6 +23,11 @@
 //! * **Crash-safe cache persistence** — the shared solver cache can be
 //!   saved to and restored from disk; corrupt images are quarantined and the
 //!   cache rebuilds cold (see [`lilac_solver::persist`]).
+//! * **Incremental re-checking** — [`CheckService::check_incremental`]
+//!   replays clean component verdicts from a bounded, persistable
+//!   [`PriorReports`] store (the same verdict store
+//!   [`lilac_core::check_program_incremental`] threads), so only components
+//!   whose checking inputs changed reach the pool.
 //! * **Deterministic fault injection** — a seeded [`FaultPlan`] can force
 //!   worker panics, deadline expiries, budget exhaustion, and cache
 //!   corruption at deterministic sites, which is how the fuzzer's eighth
@@ -32,18 +37,15 @@
 //!   checker would.
 
 pub mod pool;
-pub mod reports;
 
 use lilac_ast::{ModuleKind, Program};
 use lilac_core::{
     check_component_with, program_component_hashes, CheckOptions, CheckReport, CompLibrary,
-    ComponentHash, ComponentReport,
+    ComponentHash, ComponentReport, PriorReports,
 };
-use lilac_ir::Netlist;
-use lilac_sim::{CompiledSim, SimBackend};
 use lilac_solver::persist::CacheLoadStatus;
 use lilac_solver::{QueryBudget, SharedCache, SolverConfig};
-use lilac_util::diag::{CheckError, CheckErrorKind, DiagnosticKind, LilacError, Severity};
+use lilac_util::diag::{CheckError, CheckErrorKind, LilacError, Severity};
 use lilac_util::fault::{BudgetExhausted, BudgetKind, FaultKind, FaultPlan, InjectedPanic};
 use lilac_util::intern::Symbol;
 use lilac_util::par::WorkerPanic;
@@ -55,7 +57,6 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pool::WorkerPool;
-use reports::ReportCache;
 
 /// Configuration for a [`CheckService`].
 #[derive(Clone, Debug)]
@@ -130,7 +131,7 @@ impl Default for ServiceConfig {
             backoff_cap: Duration::from_millis(160),
             solver_config: SolverConfig::default(),
             cache_path: None,
-            report_cache_capacity: 65_536,
+            report_cache_capacity: PriorReports::DEFAULT_CAPACITY,
             report_cache_path: None,
             faults: FaultPlan::disabled(),
         }
@@ -141,7 +142,8 @@ impl Default for ServiceConfig {
 /// [`CheckService::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Programs submitted through [`CheckService::check`].
+    /// Programs submitted through [`CheckService::check`] or
+    /// [`CheckService::check_incremental`].
     pub programs: u64,
     /// Check units (one component each) executed, counting retries once.
     pub units: u64,
@@ -161,13 +163,8 @@ pub struct ServiceStats {
     pub cache_reloads: u64,
     /// Cache images rejected and rebuilt cold.
     pub cache_quarantines: u64,
-    /// Simulation requests submitted through [`CheckService::simulate`].
-    pub sim_requests: u64,
-    /// Simulation requests rejected as malformed (unknown port name or a
-    /// netlist the compiled backend refuses).
-    pub bad_requests: u64,
     /// Components whose verdict [`CheckService::check_incremental`] replayed
-    /// from the content-addressed report cache.
+    /// from the content-addressed report cache ([`PriorReports`]).
     pub report_hits: u64,
     /// Components [`CheckService::check_incremental`] had to re-check.
     pub report_misses: u64,
@@ -185,8 +182,6 @@ struct Counters {
     failed_units: AtomicU64,
     cache_reloads: AtomicU64,
     cache_quarantines: AtomicU64,
-    sim_requests: AtomicU64,
-    bad_requests: AtomicU64,
     report_hits: AtomicU64,
     report_misses: AtomicU64,
 }
@@ -210,24 +205,6 @@ impl ServiceOutcome {
     pub fn is_ok(&self) -> bool {
         matches!(&self.verdict, Ok(report) if report.is_ok())
     }
-}
-
-/// A simulation request served by [`CheckService::simulate`].
-#[derive(Clone, Debug, Default)]
-pub struct SimRequest {
-    /// Per-cycle stimulus: each entry assigns input ports before that
-    /// cycle's outputs are sampled. Ports not named hold their value.
-    pub stimulus: Vec<Vec<(String, u64)>>,
-    /// Output ports sampled every cycle, after combinational settle.
-    pub sample: Vec<String>,
-}
-
-/// A trace produced by [`CheckService::simulate`]: `values[cycle][k]` is the
-/// settled value of the `k`-th sampled port at that cycle.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SimTrace {
-    /// One row per stimulus cycle, one column per sampled port.
-    pub values: Vec<Vec<u64>>,
 }
 
 /// Result of one [`CheckService::recycle_cache`] drill.
@@ -254,9 +231,9 @@ pub struct CheckService {
     shared: Mutex<SharedCache>,
     /// What startup found at `cache_path` (None when no path configured).
     cache_status: Option<CacheLoadStatus>,
-    /// Content-addressed clean-verdict cache for
+    /// Content-addressed clean-verdict store for
     /// [`CheckService::check_incremental`].
-    reports: Mutex<ReportCache>,
+    reports: Mutex<PriorReports>,
     /// What startup found at `report_cache_path` (None when no path
     /// configured).
     report_cache_status: Option<CacheLoadStatus>,
@@ -275,38 +252,32 @@ impl CheckService {
     pub fn new(config: ServiceConfig) -> CheckService {
         install_quiet_panic_hook();
         let counters = Arc::new(Counters::default());
+        // Both persistent stores share one startup policy, counted alike.
+        let count_load = |status: &CacheLoadStatus| match status {
+            CacheLoadStatus::Loaded { .. } => {
+                counters.cache_reloads.fetch_add(1, Ordering::Relaxed);
+            }
+            CacheLoadStatus::Quarantined { .. } => {
+                counters.cache_quarantines.fetch_add(1, Ordering::Relaxed);
+            }
+            CacheLoadStatus::Missing => {}
+        };
         let (shared, cache_status) = match &config.cache_path {
             Some(path) => {
                 let (cache, status) = SharedCache::load_or_quarantine(path);
-                match &status {
-                    CacheLoadStatus::Loaded { .. } => {
-                        counters.cache_reloads.fetch_add(1, Ordering::Relaxed);
-                    }
-                    CacheLoadStatus::Quarantined { .. } => {
-                        counters.cache_quarantines.fetch_add(1, Ordering::Relaxed);
-                    }
-                    CacheLoadStatus::Missing => {}
-                }
+                count_load(&status);
                 (cache, Some(status))
             }
             None => (SharedCache::new(), None),
         };
         let (reports, report_cache_status) = match &config.report_cache_path {
             Some(path) => {
-                let (cache, status) =
-                    ReportCache::load_or_quarantine(path, config.report_cache_capacity);
-                match &status {
-                    CacheLoadStatus::Loaded { .. } => {
-                        counters.cache_reloads.fetch_add(1, Ordering::Relaxed);
-                    }
-                    CacheLoadStatus::Quarantined { .. } => {
-                        counters.cache_quarantines.fetch_add(1, Ordering::Relaxed);
-                    }
-                    CacheLoadStatus::Missing => {}
-                }
-                (cache, Some(status))
+                let (store, status) =
+                    PriorReports::load_or_quarantine(path, config.report_cache_capacity);
+                count_load(&status);
+                (store, Some(status))
             }
-            None => (ReportCache::new(config.report_cache_capacity), None),
+            None => (PriorReports::with_capacity(config.report_cache_capacity), None),
         };
         CheckService {
             pool: WorkerPool::new(config.workers),
@@ -354,8 +325,6 @@ impl CheckService {
             failed_units: c.failed_units.load(Ordering::Relaxed),
             cache_reloads: c.cache_reloads.load(Ordering::Relaxed),
             cache_quarantines: c.cache_quarantines.load(Ordering::Relaxed),
-            sim_requests: c.sim_requests.load(Ordering::Relaxed),
-            bad_requests: c.bad_requests.load(Ordering::Relaxed),
             report_hits: c.report_hits.load(Ordering::Relaxed),
             report_misses: c.report_misses.load(Ordering::Relaxed),
         }
@@ -370,73 +339,7 @@ impl CheckService {
     /// [`lilac_core::check_program_with`] — fault tolerance changes *how*
     /// the answer is computed, never the answer.
     pub fn check(&self, program: &Program) -> ServiceOutcome {
-        let start = Instant::now();
-        self.counters.programs.fetch_add(1, Ordering::Relaxed);
-        // Validate the program shape once, inline: library errors are not a
-        // component's fault and take no ladder.
-        let names: Vec<Symbol> = match CompLibrary::build(program) {
-            Ok(lib) => lib
-                .iter()
-                .filter(|m| matches!(m.kind, ModuleKind::Comp { .. }))
-                .map(lilac_ast::Module::name)
-                .collect(),
-            Err(e) => {
-                return ServiceOutcome {
-                    verdict: Err(e),
-                    degradations: Vec::new(),
-                    elapsed: start.elapsed(),
-                }
-            }
-        };
-        let program = Arc::new(program.clone());
-        let cache = self.shared.lock().expect("cache handle poisoned").clone();
-        let (tx, rx) = mpsc::channel::<(usize, ComponentReport, Vec<CheckError>)>();
-        for (index, &name) in names.iter().enumerate() {
-            // Sites are assigned at submission time on the calling thread,
-            // so a deterministic request stream addresses deterministic
-            // sites regardless of worker scheduling.
-            let site = self.site_counter.fetch_add(1, Ordering::Relaxed);
-            let unit = UnitContext {
-                program: Arc::clone(&program),
-                component: name,
-                config: self.config.clone(),
-                cache: cache.clone(),
-                counters: Arc::clone(&self.counters),
-                site,
-            };
-            let tx = tx.clone();
-            self.pool.submit(Box::new(move || {
-                let (report, degradations) = run_unit(&unit);
-                // The receiver only disappears if the requester's thread
-                // panicked; dropping the result is then correct.
-                let _ = tx.send((index, report, degradations));
-            }));
-        }
-        drop(tx);
-        let mut slots: Vec<Option<(ComponentReport, Vec<CheckError>)>> =
-            names.iter().map(|_| None).collect();
-        for (index, report, degradations) in rx {
-            slots[index] = Some((report, degradations));
-        }
-        let mut components = Vec::with_capacity(slots.len());
-        let mut degradations = Vec::new();
-        for slot in slots {
-            let (report, errs) = slot.expect("every unit reports exactly once");
-            degradations.extend(errs);
-            components.push(report);
-        }
-        let errors: Vec<_> = components
-            .iter()
-            .flat_map(|c| c.diagnostics.iter())
-            .filter(|d| d.kind == DiagnosticKind::Error)
-            .cloned()
-            .collect();
-        let verdict = if errors.is_empty() {
-            Ok(CheckReport { components })
-        } else {
-            Err(LilacError::from_diagnostics(errors))
-        };
-        ServiceOutcome { verdict, degradations, elapsed: start.elapsed() }
+        self.dispatch(program, false)
     }
 
     /// Checks one program, replaying stored clean verdicts from the
@@ -458,10 +361,27 @@ impl CheckService {
     /// [`CheckService::check`] (and the one-shot checker) would produce —
     /// the fuzzer's tenth differential oracle pins exactly that.
     pub fn check_incremental(&self, program: &Program) -> ServiceOutcome {
+        self.dispatch(program, true)
+    }
+
+    /// The one dispatch path behind [`CheckService::check`] and
+    /// [`CheckService::check_incremental`]. Only an `incremental` request
+    /// consults the report cache, admits to it, and counts report hits and
+    /// misses; every other step is shared.
+    fn dispatch(&self, program: &Program, incremental: bool) -> ServiceOutcome {
         let start = Instant::now();
         self.counters.programs.fetch_add(1, Ordering::Relaxed);
-        let comps: Vec<(Symbol, ComponentHash)> = match CompLibrary::build(program) {
-            Ok(lib) => program_component_hashes(&lib),
+        // Validate the program shape once, inline: library errors are not a
+        // component's fault and take no ladder.
+        let (names, hashes): (Vec<Symbol>, Vec<ComponentHash>) = match CompLibrary::build(program) {
+            Ok(lib) if incremental => program_component_hashes(&lib).into_iter().unzip(),
+            Ok(lib) => (
+                lib.iter()
+                    .filter(|m| matches!(m.kind, ModuleKind::Comp { .. }))
+                    .map(lilac_ast::Module::name)
+                    .collect(),
+                Vec::new(),
+            ),
             Err(e) => {
                 return ServiceOutcome {
                     verdict: Err(e),
@@ -471,32 +391,31 @@ impl CheckService {
             }
         };
         let mut slots: Vec<Option<(ComponentReport, Vec<CheckError>)>> =
-            comps.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = Vec::new();
-        {
+            names.iter().map(|_| None).collect();
+        if incremental {
             let reports = self.reports.lock().expect("report cache poisoned");
-            for (index, (name, hash)) in comps.iter().enumerate() {
-                match reports.lookup(*hash, *name) {
-                    Some(replay) => {
-                        self.counters.report_hits.fetch_add(1, Ordering::Relaxed);
-                        slots[index] = Some((replay, Vec::new()));
-                    }
-                    None => {
-                        self.counters.report_misses.fetch_add(1, Ordering::Relaxed);
-                        pending.push(index);
-                    }
-                }
+            for ((slot, &name), &hash) in slots.iter_mut().zip(&names).zip(&hashes) {
+                *slot = reports.lookup(hash, name).map(|replay| (replay, Vec::new()));
+                let counter = match slot {
+                    Some(_) => &self.counters.report_hits,
+                    None => &self.counters.report_misses,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
             }
         }
+        let pending: Vec<usize> = (0..names.len()).filter(|&i| slots[i].is_none()).collect();
         if !pending.is_empty() {
             let program = Arc::new(program.clone());
             let cache = self.shared.lock().expect("cache handle poisoned").clone();
             let (tx, rx) = mpsc::channel::<(usize, ComponentReport, Vec<CheckError>)>();
             for &index in &pending {
+                // Sites are assigned at submission time on the calling thread,
+                // so a deterministic request stream addresses deterministic
+                // sites regardless of worker scheduling.
                 let site = self.site_counter.fetch_add(1, Ordering::Relaxed);
                 let unit = UnitContext {
                     program: Arc::clone(&program),
-                    component: comps[index].0,
+                    component: names[index],
                     config: self.config.clone(),
                     cache: cache.clone(),
                     counters: Arc::clone(&self.counters),
@@ -511,34 +430,29 @@ impl CheckService {
                 }));
             }
             drop(tx);
-            let mut reports = Vec::with_capacity(pending.len());
-            for received in rx {
-                reports.push(received);
-            }
-            let mut cache = self.reports.lock().expect("report cache poisoned");
-            for (index, report, degradations) in reports {
-                cache.admit(comps[index].1, &report);
+            for (index, report, degradations) in rx {
                 slots[index] = Some((report, degradations));
+            }
+            if incremental {
+                // Admission follows component order, not arrival order, so
+                // which entries FIFO eviction keeps never depends on which
+                // worker finished first.
+                let mut reports = self.reports.lock().expect("report cache poisoned");
+                for &index in &pending {
+                    let (report, _) =
+                        slots[index].as_ref().expect("every unit reports exactly once");
+                    reports.admit(hashes[index], report);
+                }
             }
         }
         let mut components = Vec::with_capacity(slots.len());
         let mut degradations = Vec::new();
         for slot in slots {
-            let (report, errs) = slot.expect("every slot filled");
+            let (report, errs) = slot.expect("every unit reports exactly once");
             degradations.extend(errs);
             components.push(report);
         }
-        let errors: Vec<_> = components
-            .iter()
-            .flat_map(|c| c.diagnostics.iter())
-            .filter(|d| d.kind == DiagnosticKind::Error)
-            .cloned()
-            .collect();
-        let verdict = if errors.is_empty() {
-            Ok(CheckReport { components })
-        } else {
-            Err(LilacError::from_diagnostics(errors))
-        };
+        let verdict = CheckReport { components }.into_result();
         ServiceOutcome { verdict, degradations, elapsed: start.elapsed() }
     }
 
@@ -555,51 +469,6 @@ impl CheckService {
         };
         let cache = self.reports.lock().expect("report cache poisoned").clone();
         cache.save(path).map(Some)
-    }
-
-    /// Simulates a netlist on the persistent pool through the compiled
-    /// [`SimBackend`].
-    ///
-    /// Every port access goes through the fallible `try_` surface, so a
-    /// request naming a port the module does not have comes back as a
-    /// structured [`CheckErrorKind::BadRequest`] error — one rejected
-    /// response, not a poisoned worker. Genuine backend panics are still
-    /// contained by `catch_unwind`, exactly like check units.
-    ///
-    /// # Errors
-    ///
-    /// `BadRequest` for an unknown port or a netlist the compiled backend
-    /// rejects; `WorkerPanic` if the backend panics.
-    pub fn simulate(
-        &self,
-        netlist: &Netlist,
-        request: &SimRequest,
-    ) -> Result<SimTrace, CheckError> {
-        self.counters.sim_requests.fetch_add(1, Ordering::Relaxed);
-        let netlist = Arc::new(netlist.clone());
-        let request = request.clone();
-        let (tx, rx) = mpsc::channel::<Result<SimTrace, CheckError>>();
-        self.pool.submit(Box::new(move || {
-            PANIC_QUIET.with(|quiet| quiet.set(true));
-            let result = catch_unwind(AssertUnwindSafe(|| run_sim_unit(&netlist, &request)));
-            PANIC_QUIET.with(|quiet| quiet.set(false));
-            let outcome = result.unwrap_or_else(|payload| {
-                Err(CheckError::new(
-                    CheckErrorKind::WorkerPanic,
-                    Severity::Transient,
-                    WorkerPanic::from_payload(&*payload).message,
-                )
-                .for_component(netlist.name.as_str()))
-            });
-            // The receiver only disappears if the requester's thread
-            // panicked; dropping the result is then correct.
-            let _ = tx.send(outcome);
-        }));
-        let outcome = rx.recv().expect("sim unit reports exactly once");
-        if matches!(&outcome, Err(e) if e.kind == CheckErrorKind::BadRequest) {
-            self.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
-        }
-        outcome
     }
 
     /// Crash-recovery drill: serialize the live cache, optionally let the
@@ -640,30 +509,6 @@ impl CheckService {
         let cache = self.shared.lock().expect("cache handle poisoned").clone();
         cache.save(path).map(Some)
     }
-}
-
-/// Runs one simulation request start to finish. Unknown ports surface as
-/// structured `BadRequest` errors through the fallible [`SimBackend`]
-/// surface; nothing in here panics on malformed input.
-fn run_sim_unit(netlist: &Netlist, request: &SimRequest) -> Result<SimTrace, CheckError> {
-    let bad = |detail: String| {
-        CheckError::new(CheckErrorKind::BadRequest, Severity::Recoverable, detail)
-            .for_component(netlist.name.as_str())
-    };
-    let mut backend = CompiledSim::new(netlist).map_err(&bad)?;
-    let mut values = Vec::with_capacity(request.stimulus.len());
-    for assignments in &request.stimulus {
-        for (port, value) in assignments {
-            backend.try_set_input(port, *value).map_err(|e| bad(e.to_string()))?;
-        }
-        let mut row = Vec::with_capacity(request.sample.len());
-        for name in &request.sample {
-            row.push(backend.try_output(name).map_err(|e| bad(e.to_string()))?);
-        }
-        values.push(row);
-        backend.step();
-    }
-    Ok(SimTrace { values })
 }
 
 /// Everything one pool unit needs, moved into its job closure.
@@ -971,69 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_matches_interpreter_trace() {
-        use lilac_ir::NodeKind;
-        let service = CheckService::new(quiet_config(1));
-        let mut n = Netlist::new("svc_sim");
-        let a = n.add_input("a", 8);
-        let b = n.add_input("b", 8);
-        let sum = n.add_node(NodeKind::Add, vec![a, b], 8, "sum");
-        let reg = n.add_node(NodeKind::Reg, vec![sum], 8, "lag");
-        n.add_output("sum", sum);
-        n.add_output("lag", reg);
-        let request = SimRequest {
-            stimulus: (0..8u64)
-                .map(|c| vec![("a".to_string(), 3 * c + 1), ("b".to_string(), 5 * c)])
-                .collect(),
-            sample: vec!["sum".to_string(), "lag".to_string()],
-        };
-        let trace = service.simulate(&n, &request).expect("well-formed request simulates");
-        let mut sim = lilac_sim::Simulator::new(&n).expect("netlist is valid");
-        for (cycle, assignments) in request.stimulus.iter().enumerate() {
-            for (port, value) in assignments {
-                sim.set_input(port, *value);
-            }
-            assert_eq!(trace.values[cycle], vec![sim.peek("sum"), sim.peek("lag")]);
-            sim.step();
-        }
-    }
-
-    #[test]
-    fn bad_sim_requests_degrade_without_poisoning_workers() {
-        use lilac_ir::NodeKind;
-        // One worker: if a bad request poisoned it, nothing else would run.
-        let service = CheckService::new(quiet_config(1));
-        let mut n = Netlist::new("svc_bad");
-        let a = n.add_input("a", 4);
-        let inv = n.add_node(NodeKind::Not, vec![a], 4, "inv");
-        n.add_output("o", inv);
-        let good = SimRequest {
-            stimulus: vec![vec![("a".to_string(), 5)]],
-            sample: vec!["o".to_string()],
-        };
-        let bad_input = SimRequest {
-            stimulus: vec![vec![("nope".to_string(), 1)]],
-            sample: vec!["o".to_string()],
-        };
-        let bad_output = SimRequest { stimulus: vec![vec![]], sample: vec!["missing".to_string()] };
-        let err = service.simulate(&n, &bad_input).expect_err("unknown input is rejected");
-        assert_eq!(err.kind, CheckErrorKind::BadRequest);
-        assert_eq!(err.severity, Severity::Recoverable);
-        assert!(err.to_string().contains("no input named `nope`"), "{err}");
-        let err = service.simulate(&n, &bad_output).expect_err("unknown output is rejected");
-        assert_eq!(err.kind, CheckErrorKind::BadRequest);
-        assert!(err.to_string().contains("no output named `missing`"), "{err}");
-        // The same worker keeps serving — both simulation and check traffic.
-        let trace = service.simulate(&n, &good).expect("worker survived the bad requests");
-        assert_eq!(trace.values, vec![vec![0xA]]);
-        let program = Design::Gbp.program().expect("GBP parses");
-        assert!(service.check(&program).is_ok());
-        let stats = service.stats();
-        assert_eq!(stats.sim_requests, 3);
-        assert_eq!(stats.bad_requests, 2);
-    }
-
-    #[test]
     fn library_errors_take_no_ladder() {
         let service = CheckService::new(quiet_config(1));
         // Two components with the same name: rejected by CompLibrary::build.
@@ -1200,6 +982,33 @@ mod tests {
         assert!(matches!(third.report_cache_status(), Some(CacheLoadStatus::Quarantined { .. })));
         assert_eq!(third.report_cache_len(), 0);
         assert!(!path.exists(), "the corrupt image is moved aside");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn report_cache_admission_is_independent_of_worker_count() {
+        // FPU has more clean components than a two-entry cache holds, so
+        // which two survive FIFO eviction depends on admission order alone.
+        let dir = std::env::temp_dir().join(format!("lilac-svc-admission-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let program = Design::Fpu.program().expect("FPU parses");
+        let cached_set = |workers: usize, run: usize| {
+            let path = dir.join(format!("reports-{workers}-{run}.bin"));
+            let _ = std::fs::remove_file(&path);
+            let service = CheckService::new(ServiceConfig {
+                report_cache_capacity: 2,
+                report_cache_path: Some(path.clone()),
+                ..quiet_config(workers)
+            });
+            assert!(service.check_incremental(&program).verdict.is_ok());
+            assert_eq!(service.save_report_cache().expect("save succeeds"), Some(2));
+            // Images list entries in key order: equal sets, equal bytes.
+            std::fs::read(&path).expect("image readable")
+        };
+        let serial = cached_set(1, 0);
+        for run in 0..20 {
+            assert_eq!(cached_set(2, run), serial, "run {run}: 2 workers kept a different set");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

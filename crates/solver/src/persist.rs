@@ -32,6 +32,7 @@ use crate::expr::{LinExpr, Term};
 use crate::model::Model;
 use crate::pred::Pred;
 use crate::solve::{Outcome, SharedCache};
+use lilac_util::fnv::fnv1a;
 use lilac_util::intern::Symbol;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -98,16 +99,6 @@ pub enum CacheLoadStatus {
     },
 }
 
-/// FNV-1a over `bytes` (stable across platforms and runs).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 // ---------------------------------------------------------------------------
 // Generic checksummed envelope
 // ---------------------------------------------------------------------------
@@ -121,7 +112,7 @@ pub fn seal_image(magic: &[u8; 8], version: u32, payload: &[u8]) -> Vec<u8> {
     image.extend_from_slice(magic);
     image.extend_from_slice(&version.to_le_bytes());
     image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    image.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    image.extend_from_slice(&fnv1a(0, payload).to_le_bytes());
     image.extend_from_slice(payload);
     image
 }
@@ -165,7 +156,7 @@ pub fn open_image<'a>(
     if payload.len() > payload_len {
         return Err(CacheLoadError::Malformed("trailing bytes after payload"));
     }
-    if fnv1a(payload) != checksum {
+    if fnv1a(0, payload) != checksum {
         return Err(CacheLoadError::ChecksumMismatch);
     }
     Ok(payload)

@@ -405,6 +405,39 @@ impl SharedCache {
         buckets
     }
 
+    /// The one dedup rule, shared by lookup, insert and [`SharedCache::absorb`]:
+    /// the outcome some entry of `bucket` gives for `(facts, goal)` — matched
+    /// up to an alpha bijection and transported into the query's symbols —
+    /// or `None` if no entry answers the query.
+    fn answer<'a>(
+        bucket: &'a [SharedEntry],
+        facts: impl Iterator<Item = &'a Pred> + Clone,
+        fact_count: usize,
+        goal: &Pred,
+    ) -> Option<Outcome> {
+        bucket.iter().find_map(|entry| {
+            if entry.facts.len() != fact_count {
+                return None;
+            }
+            let map = alpha::alpha_match(entry.facts.iter(), &entry.goal, facts.clone(), goal)?;
+            alpha::rename_outcome(&entry.outcome, &map)
+        })
+    }
+
+    /// Inserts `entry` under bucket `hash` unless the bucket can already
+    /// answer it. The check and the push happen in one critical section, so
+    /// two solvers that both miss an alpha-variant of one query and decide it
+    /// concurrently store it once — exactly as a sequential cache would,
+    /// where the second solver would have hit.
+    fn insert_unless_answered(&self, hash: u64, entry: SharedEntry) {
+        let mut entries = self.entries.lock().expect("shared cache poisoned");
+        let bucket = entries.entry(hash).or_default();
+        if SharedCache::answer(bucket, entry.facts.iter(), entry.facts.len(), &entry.goal).is_none()
+        {
+            bucket.push(entry);
+        }
+    }
+
     /// Inserts a deserialized entry under its recorded bucket hash.
     pub(crate) fn insert_raw(&self, hash: u64, facts: Vec<Pred>, goal: Pred, outcome: Outcome) {
         self.entries
@@ -416,38 +449,26 @@ impl SharedCache {
     }
 
     /// Merges every entry of `other` into `self`, skipping entries the
-    /// target bucket can already answer. "Already answer" uses the same
-    /// test as the lookup path — an alpha bijection witness, not literal
-    /// equality — because that is what decides whether a running solver
-    /// would have inserted the entry at all: two shards that each solve an
-    /// alpha-variant of one query insert two literal entries, but a single
-    /// sequential cache would have hit on the first and never stored the
-    /// second. This is the campaign fuzzer's shard-merge primitive: N
-    /// per-shard caches absorbed into one hold the same set of memoized
-    /// queries (up to renaming) a single sequential cache would.
+    /// target bucket can already answer — the same rule a running solver
+    /// applies on insert (see [`SharedCache::answer`]). Two shards that
+    /// each solve an alpha-variant of one query insert two literal entries,
+    /// but a single sequential cache would have hit on the first and never
+    /// stored the second. This is the campaign fuzzer's shard-merge
+    /// primitive: N per-shard caches absorbed into one hold the same set of
+    /// memoized queries (up to renaming) a single sequential cache would.
     pub fn absorb(&self, other: &SharedCache) {
         if std::sync::Arc::ptr_eq(&self.entries, &other.entries) {
             return;
         }
-        let theirs = other.entries.lock().expect("shared cache poisoned");
-        let mut ours = self.entries.lock().expect("shared cache poisoned");
-        for (&hash, bucket) in theirs.iter() {
-            let target = ours.entry(hash).or_default();
-            for entry in bucket {
-                let duplicate = target.iter().any(|e| {
-                    e.facts.len() == entry.facts.len()
-                        && alpha::alpha_match(
-                            e.facts.iter(),
-                            &e.goal,
-                            entry.facts.iter(),
-                            &entry.goal,
-                        )
-                        .is_some()
-                });
-                if !duplicate {
-                    target.push(entry.clone());
-                }
-            }
+        let theirs: Vec<(u64, SharedEntry)> = {
+            let theirs = other.entries.lock().expect("shared cache poisoned");
+            theirs
+                .iter()
+                .flat_map(|(&hash, bucket)| bucket.iter().map(move |e| (hash, e.clone())))
+                .collect()
+        };
+        for (hash, entry) in theirs {
+            self.insert_unless_answered(hash, entry);
         }
     }
 }
@@ -716,18 +737,12 @@ impl Solver {
                 let facts = &self.facts;
                 let entries = shared.entries.lock().expect("shared cache poisoned");
                 entries.get(&hash).and_then(|bucket| {
-                    bucket.iter().find_map(|entry| {
-                        if entry.facts.len() != fact_ids.len() {
-                            return None;
-                        }
-                        let map = alpha::alpha_match(
-                            entry.facts.iter(),
-                            &entry.goal,
-                            fact_ids.iter().map(|&id| facts.pred(id)),
-                            goal,
-                        )?;
-                        alpha::rename_outcome(&entry.outcome, &map)
-                    })
+                    SharedCache::answer(
+                        bucket,
+                        fact_ids.iter().map(|&id| facts.pred(id)),
+                        fact_ids.len(),
+                        goal,
+                    )
                 })
             };
             if let Some(outcome) = shared_hit {
@@ -743,7 +758,8 @@ impl Solver {
         if let Some(shared) = &shared {
             let fact_preds: Vec<Pred> =
                 fact_ids.iter().map(|&id| self.facts.pred(id).clone()).collect();
-            shared.entries.lock().expect("shared cache poisoned").entry(hash).or_default().push(
+            shared.insert_unless_answered(
+                hash,
                 SharedEntry {
                     facts: std::sync::Arc::new(fact_preds),
                     goal: goal.clone(),
@@ -1761,6 +1777,44 @@ mod tests {
         .expect_err("third query must exhaust the budget");
         let b = payload.downcast_ref::<BudgetExhausted>().expect("sentinel payload");
         assert_eq!(b.kind, BudgetKind::Queries);
+    }
+
+    #[test]
+    fn concurrent_alpha_variant_misses_store_one_entry_per_query() {
+        // Every thread decides the same four queries over its own variable
+        // name (alpha-variants of each other) into one shared cache, all
+        // released at once so their lookups and inserts interleave.
+        const THREADS: usize = 8;
+        let goals = |x: &str| {
+            vec![
+                Pred::ge(var(x), LinExpr::constant(0)),
+                Pred::ge(var(x), LinExpr::constant(-1)),
+                Pred::ge(var(x), LinExpr::constant(-2)),
+                Pred::ge(var(x), LinExpr::constant(5)),
+            ]
+        };
+        for round in 0..50 {
+            let cache = SharedCache::new();
+            let barrier = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let (cache, barrier) = (&cache, &barrier);
+                    scope.spawn(move || {
+                        let x = format!("X{t}");
+                        let mut s = Solver::with_config(SolverConfig {
+                            shared_cache: Some(cache.clone()),
+                            ..SolverConfig::default()
+                        });
+                        s.assume(Pred::ge(var(&x), LinExpr::constant(1)));
+                        barrier.wait();
+                        for goal in goals(&x) {
+                            s.prove(&goal);
+                        }
+                    });
+                }
+            });
+            assert_eq!(cache.len(), goals("X").len(), "round {round}: one entry per query");
+        }
     }
 
     #[test]

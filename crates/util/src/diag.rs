@@ -225,9 +225,6 @@ pub enum CheckErrorKind {
     CacheCorrupted,
     /// A unit's verdict was produced on the degraded fallback path.
     Degraded,
-    /// The request itself was malformed (for example, it named a port the
-    /// module does not have); the worker rejected it without running.
-    BadRequest,
 }
 
 impl fmt::Display for CheckErrorKind {
@@ -245,7 +242,6 @@ impl CheckErrorKind {
             CheckErrorKind::BudgetExhausted => "budget-exhausted",
             CheckErrorKind::CacheCorrupted => "cache-corrupted",
             CheckErrorKind::Degraded => "degraded",
-            CheckErrorKind::BadRequest => "bad-request",
         }
     }
 }

@@ -7,6 +7,8 @@
 //! * [`span`] — byte-offset source spans and position/line-column mapping,
 //! * [`diag`] — structured diagnostics (errors, warnings, notes) with
 //!   rendering against a [`SourceMap`],
+//! * [`fnv`] — FNV-1a, the stable byte hash behind every checksum and
+//!   fingerprint,
 //! * [`idx`] — strongly-typed index newtypes and dense index maps,
 //! * [`par`] — an order-preserving parallel map over scoped threads with
 //!   per-item panic isolation,
@@ -26,6 +28,7 @@
 
 pub mod diag;
 pub mod fault;
+pub mod fnv;
 pub mod idx;
 pub mod intern;
 pub mod par;
