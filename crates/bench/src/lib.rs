@@ -547,9 +547,13 @@ pub struct SpeedupSummary {
 }
 
 /// Measures `check_program` over [`Design::all`] in the three
-/// configurations (taking the minimum of `reps` runs each, interleaved, to
+/// configurations (taking the minimum of `reps` back-to-back runs of each, to
 /// shed scheduler noise) and verifies on the way that the optimized and
 /// naive pipelines produce equivalent reports.
+///
+/// Every configuration checks serially, on one core: the comparison is of
+/// solver pipelines, so a parallel fan-out would only add a dependence on
+/// how busy the other cores are.
 ///
 /// # Errors
 ///
@@ -562,10 +566,9 @@ pub struct SpeedupSummary {
 pub fn solver_speedup(reps: usize) -> Result<(Vec<SpeedupRow>, SpeedupSummary)> {
     let reps = reps.max(1);
     let naive_opts = CheckOptions::naive();
-    let cold_opts = CheckOptions::default();
-    let shared = SharedCache::new();
-    let mut warm_opts = CheckOptions::default();
-    warm_opts.solver_config.shared_cache = Some(shared);
+    let cold_opts = CheckOptions { parallel: false, ..CheckOptions::default() };
+    let mut warm_opts = cold_opts.clone();
+    warm_opts.solver_config.shared_cache = Some(SharedCache::new());
 
     let programs: Vec<_> =
         Design::all().into_iter().map(|d| d.program().map(|p| (d, p))).collect::<Result<_>>()?;

@@ -11,10 +11,12 @@
 //!   reproduces any case regardless of how many shards observed it.
 //! - **One engine set per shard.** Each shard runs on its own
 //!   `lilac-util::par` worker with its own [`Session`] — its own
-//!   [`SharedCache`], its own [`CheckService`](lilac_service::CheckService)
-//!   worker pool, and (under `--cache`) its own shard-suffixed cache image
+//!   [`SharedCache`], its own [`CheckService`](lilac_service::CheckService),
+//!   and (under `--cache`) its own shard-suffixed cache image
 //!   ([`lilac_service::shard_cache_path`]) — so shards never contend on a
-//!   lock and never race on a file.
+//!   lock and never race on a file. Every check a shard makes fans out
+//!   inline on the shard's worker, so shards never oversubscribe the
+//!   cores.
 //! - **Deterministic merge.** Shard outcomes are folded in global case-index
 //!   order through the same [`crate::fold_record`] the sequential driver
 //!   uses, with the same `max_failures` cut, so the merged
@@ -46,7 +48,7 @@ pub struct CampaignConfig {
     /// The underlying run (cases, seed, shrink, faults, cache, ...).
     pub fuzz: FuzzConfig,
     /// Number of shards to partition the case range into. Shards beyond the
-    /// available parallelism simply queue on the worker pool; `1` degrades
+    /// available parallelism simply queue for a worker; `1` degrades
     /// to the sequential driver's behaviour exactly.
     pub shards: usize,
 }

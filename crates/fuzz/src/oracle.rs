@@ -44,7 +44,7 @@
 //!    oracle that pins the first pass that rewrites *where state lives*
 //!    rather than collapsing it.
 //! 8. **Fault-tolerant service** — the long-lived [`CheckService`] (its own
-//!    worker pool, persistent on-disk cache, deadline budgets, and — when
+//!    persistent on-disk cache, deadline budgets, and — when
 //!    the fuzzer is run with `--faults` — a seeded [`FaultPlan`] injecting
 //!    worker panics, forced deadline expiries, and budget exhaustion) must
 //!    reach exactly the naive checker's verdict on every case. Degradation
@@ -137,7 +137,9 @@ pub struct CaseStats {
 /// cache (itself under test — a stale or colliding entry would make the
 /// warm configuration diverge from the cold one) and the long-lived
 /// [`CheckService`] behind the eighth oracle, with its own persistent
-/// cache, worker pool, and (optionally) seeded fault plan.
+/// cache and (optionally) seeded fault plan. A session owns no threads:
+/// the service fans each request out with `lilac_util::par`, inline when
+/// the session runs on a campaign shard's worker.
 #[derive(Default)]
 pub struct Session {
     shared: Option<SharedCache>,
@@ -171,7 +173,6 @@ impl Session {
             None => FaultPlan::disabled(),
         };
         let config = ServiceConfig {
-            workers: 2,
             // Thousands of cases with ~1/8 fault density: sleeping between
             // ladder attempts would dominate the run for no extra coverage.
             backoff: Duration::ZERO,

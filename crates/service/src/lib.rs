@@ -10,8 +10,11 @@
 //!
 //! [`CheckService`] provides that shape:
 //!
-//! * **Persistent workers** — component checks run on a work-stealing
-//!   [`pool::WorkerPool`] that outlives any single request.
+//! * **Shared fan-out** — a request's components run on the workspace's one
+//!   fan-out harness, [`lilac_util::par`], over one [`CompLibrary`] built
+//!   per request; its width follows `LILAC_THREADS` like every other
+//!   fan-out, and it runs inline when the request itself comes from a
+//!   fan-out worker (a campaign shard).
 //! * **Panic isolation** — every check unit runs under `catch_unwind`; a
 //!   checker bug (or an injected fault) is contained to its component.
 //! * **Deadlines with graceful degradation** — each unit gets a
@@ -27,7 +30,7 @@
 //!   replays clean component verdicts from a bounded, persistable
 //!   [`PriorReports`] store (the same verdict store
 //!   [`lilac_core::check_program_incremental`] threads), so only components
-//!   whose checking inputs changed reach the pool.
+//!   whose checking inputs changed are re-checked.
 //! * **Deterministic fault injection** — a seeded [`FaultPlan`] can force
 //!   worker panics, deadline expiries, budget exhaustion, and cache
 //!   corruption at deterministic sites, which is how the fuzzer's eighth
@@ -36,33 +39,26 @@
 //!   so the naive fallback always supplies the same answer the naive
 //!   checker would.
 
-pub mod pool;
-
-use lilac_ast::{ModuleKind, Program};
+use lilac_ast::{Module, ModuleKind, Program};
 use lilac_core::{
-    check_component_with, program_component_hashes, CheckOptions, CheckReport, CompLibrary,
-    ComponentHash, ComponentReport, PriorReports,
+    check_component_with, component_hash, CheckOptions, CheckReport, CompLibrary, ComponentHash,
+    ComponentReport, PriorReports,
 };
 use lilac_solver::persist::CacheLoadStatus;
 use lilac_solver::{QueryBudget, SharedCache, SolverConfig};
 use lilac_util::diag::{CheckError, CheckErrorKind, LilacError, Severity};
 use lilac_util::fault::{BudgetExhausted, BudgetKind, FaultKind, FaultPlan, InjectedPanic};
-use lilac_util::intern::Symbol;
-use lilac_util::par::WorkerPanic;
+use lilac_util::par::{par_map, WorkerPanic};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use pool::WorkerPool;
 
 /// Configuration for a [`CheckService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads in the persistent pool.
-    pub workers: usize,
     /// Deadline budget per check unit on the optimized first attempt
     /// (`None` disables deadlines).
     pub deadline: Option<Duration>,
@@ -91,26 +87,10 @@ pub struct ServiceConfig {
     pub faults: FaultPlan,
 }
 
-impl ServiceConfig {
-    /// Specializes this configuration for shard `shard` of a multi-service
-    /// campaign: every on-disk cache path is suffixed with the shard index
-    /// (via [`shard_cache_path`]) so N concurrent services never race on one
-    /// image, while shard 0 of a one-shard campaign keeps the unsuffixed
-    /// paths a sequential run would use — its cache files stay
-    /// interchangeable with the sequential driver's.
-    #[must_use]
-    pub fn for_shard(mut self, shard: usize) -> ServiceConfig {
-        if shard > 0 {
-            self.cache_path = self.cache_path.map(|p| shard_cache_path(&p, shard));
-            self.report_cache_path = self.report_cache_path.map(|p| shard_cache_path(&p, shard));
-        }
-        self
-    }
-}
-
 /// The per-shard variant of a persistent cache path: `cache.bin` becomes
-/// `cache.bin.shard3` for shard 3. Shard 0 keeps the original path (see
-/// [`ServiceConfig::for_shard`]).
+/// `cache.bin.shard3` for shard 3, so concurrent shards of a campaign never
+/// race on one image. Shard 0 keeps the original path, so a one-shard
+/// campaign's cache files stay interchangeable with the sequential driver's.
 #[must_use]
 pub fn shard_cache_path(path: &std::path::Path, shard: usize) -> PathBuf {
     if shard == 0 {
@@ -124,7 +104,6 @@ pub fn shard_cache_path(path: &std::path::Path, shard: usize) -> PathBuf {
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
-            workers: std::thread::available_parallelism().map_or(2, std::num::NonZero::get),
             deadline: Some(Duration::from_secs(30)),
             retries: 2,
             backoff: Duration::from_millis(10),
@@ -224,7 +203,6 @@ pub struct CacheRecycle {
 /// seeded fault schedule, every verdict equals the naive checker's.
 pub struct CheckService {
     config: ServiceConfig,
-    pool: WorkerPool,
     /// The live shared cache. Behind a mutex (not just the cache's internal
     /// one) so [`CheckService::recycle_cache`] can atomically swap in a
     /// reloaded or cold instance.
@@ -242,16 +220,16 @@ pub struct CheckService {
     /// deterministically as long as requests are submitted in a
     /// deterministic order.
     site_counter: AtomicU64,
-    counters: Arc<Counters>,
+    counters: Counters,
 }
 
 impl CheckService {
-    /// Starts a service: spawns the worker pool and, when
-    /// [`ServiceConfig::cache_path`] is set, restores the shared cache from
-    /// disk — quarantining a corrupt image rather than failing.
+    /// Starts a service: when [`ServiceConfig::cache_path`] is set, restores
+    /// the shared cache from disk — quarantining a corrupt image rather than
+    /// failing. No threads are started; each request fans out on its own.
     pub fn new(config: ServiceConfig) -> CheckService {
         install_quiet_panic_hook();
-        let counters = Arc::new(Counters::default());
+        let counters = Counters::default();
         // Both persistent stores share one startup policy, counted alike.
         let count_load = |status: &CacheLoadStatus| match status {
             CacheLoadStatus::Loaded { .. } => {
@@ -280,7 +258,6 @@ impl CheckService {
             None => (PriorReports::with_capacity(config.report_cache_capacity), None),
         };
         CheckService {
-            pool: WorkerPool::new(config.workers),
             shared: Mutex::new(shared),
             cache_status,
             reports: Mutex::new(reports),
@@ -330,11 +307,12 @@ impl CheckService {
         }
     }
 
-    /// Checks one program on the persistent pool.
+    /// Checks one program.
     ///
     /// Program-level validation (duplicate components, unknown references
     /// caught by [`CompLibrary::build`]) happens inline; each component then
-    /// becomes one pool unit run through the degradation ladder. The
+    /// becomes one unit, fanned out with the others and run through the
+    /// degradation ladder. The
     /// verdict has the same shape and contents as
     /// [`lilac_core::check_program_with`] — fault tolerance changes *how*
     /// the answer is computed, never the answer.
@@ -343,8 +321,8 @@ impl CheckService {
     }
 
     /// Checks one program, replaying stored clean verdicts from the
-    /// content-addressed report cache instead of re-dispatching their
-    /// components to the pool.
+    /// content-addressed report cache instead of re-checking their
+    /// components.
     ///
     /// Each component is addressed by its [`ComponentHash`] — a canonical,
     /// alpha- and location-invariant hash of its module plus the signatures
@@ -372,16 +350,10 @@ impl CheckService {
         let start = Instant::now();
         self.counters.programs.fetch_add(1, Ordering::Relaxed);
         // Validate the program shape once, inline: library errors are not a
-        // component's fault and take no ladder.
-        let (names, hashes): (Vec<Symbol>, Vec<ComponentHash>) = match CompLibrary::build(program) {
-            Ok(lib) if incremental => program_component_hashes(&lib).into_iter().unzip(),
-            Ok(lib) => (
-                lib.iter()
-                    .filter(|m| matches!(m.kind, ModuleKind::Comp { .. }))
-                    .map(lilac_ast::Module::name)
-                    .collect(),
-                Vec::new(),
-            ),
+        // component's fault and take no ladder. Every unit borrows this one
+        // library.
+        let lib = match CompLibrary::build(program) {
+            Ok(lib) => lib,
             Err(e) => {
                 return ServiceOutcome {
                     verdict: Err(e),
@@ -390,12 +362,19 @@ impl CheckService {
                 }
             }
         };
+        let modules: Vec<&Module> =
+            lib.iter().filter(|m| matches!(m.kind, ModuleKind::Comp { .. })).collect();
+        let hashes: Vec<ComponentHash> = if incremental {
+            modules.iter().map(|m| component_hash(&lib, m)).collect()
+        } else {
+            Vec::new()
+        };
         let mut slots: Vec<Option<(ComponentReport, Vec<CheckError>)>> =
-            names.iter().map(|_| None).collect();
+            modules.iter().map(|_| None).collect();
         if incremental {
             let reports = self.reports.lock().expect("report cache poisoned");
-            for ((slot, &name), &hash) in slots.iter_mut().zip(&names).zip(&hashes) {
-                *slot = reports.lookup(hash, name).map(|replay| (replay, Vec::new()));
+            for ((slot, module), &hash) in slots.iter_mut().zip(&modules).zip(&hashes) {
+                *slot = reports.lookup(hash, module.name()).map(|replay| (replay, Vec::new()));
                 let counter = match slot {
                     Some(_) => &self.counters.report_hits,
                     None => &self.counters.report_misses,
@@ -403,46 +382,38 @@ impl CheckService {
                 counter.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let pending: Vec<usize> = (0..names.len()).filter(|&i| slots[i].is_none()).collect();
+        let pending: Vec<usize> = (0..modules.len()).filter(|&i| slots[i].is_none()).collect();
         if !pending.is_empty() {
-            let program = Arc::new(program.clone());
             let cache = self.shared.lock().expect("cache handle poisoned").clone();
-            let (tx, rx) = mpsc::channel::<(usize, ComponentReport, Vec<CheckError>)>();
-            for &index in &pending {
-                // Sites are assigned at submission time on the calling thread,
-                // so a deterministic request stream addresses deterministic
-                // sites regardless of worker scheduling.
-                let site = self.site_counter.fetch_add(1, Ordering::Relaxed);
-                let unit = UnitContext {
-                    program: Arc::clone(&program),
-                    component: names[index],
-                    config: self.config.clone(),
-                    cache: cache.clone(),
-                    counters: Arc::clone(&self.counters),
-                    site,
-                };
-                let tx = tx.clone();
-                self.pool.submit(Box::new(move || {
-                    let (report, degradations) = run_unit(&unit);
-                    // The receiver only disappears if the requester's thread
-                    // panicked; dropping the result is then correct.
-                    let _ = tx.send((index, report, degradations));
-                }));
-            }
-            drop(tx);
-            for (index, report, degradations) in rx {
-                slots[index] = Some((report, degradations));
-            }
+            // Sites are numbered in component order on the calling thread,
+            // before the fan-out, so a deterministic request stream addresses
+            // deterministic sites regardless of worker scheduling.
+            let base = self.site_counter.fetch_add(pending.len() as u64, Ordering::Relaxed);
+            let units: Vec<UnitContext<'_>> = pending
+                .iter()
+                .enumerate()
+                .map(|(offset, &index)| UnitContext {
+                    lib: &lib,
+                    module: modules[index],
+                    config: &self.config,
+                    cache: &cache,
+                    counters: &self.counters,
+                    site: base + offset as u64,
+                })
+                .collect();
+            // `run_unit` contains every checker panic in its ladder, so the
+            // panic-propagating map loses nothing.
+            let outcomes = par_map(&units, run_unit);
             if incremental {
-                // Admission follows component order, not arrival order, so
-                // which entries FIFO eviction keeps never depends on which
-                // worker finished first.
+                // Admission follows component order, so which entries FIFO
+                // eviction keeps never depends on which worker finished first.
                 let mut reports = self.reports.lock().expect("report cache poisoned");
-                for &index in &pending {
-                    let (report, _) =
-                        slots[index].as_ref().expect("every unit reports exactly once");
+                for (&index, (report, _)) in pending.iter().zip(&outcomes) {
                     reports.admit(hashes[index], report);
                 }
+            }
+            for (&index, outcome) in pending.iter().zip(outcomes) {
+                slots[index] = Some(outcome);
             }
         }
         let mut components = Vec::with_capacity(slots.len());
@@ -511,19 +482,19 @@ impl CheckService {
     }
 }
 
-/// Everything one pool unit needs, moved into its job closure.
-struct UnitContext {
-    program: Arc<Program>,
-    component: Symbol,
-    config: ServiceConfig,
-    cache: SharedCache,
-    counters: Arc<Counters>,
+/// Everything one check unit needs, borrowed from its request and service.
+struct UnitContext<'a> {
+    lib: &'a CompLibrary<'a>,
+    module: &'a Module,
+    config: &'a ServiceConfig,
+    cache: &'a SharedCache,
+    counters: &'a Counters,
     site: u64,
 }
 
 /// Runs one component through the degradation ladder. Returns the report
 /// plus every degradation event encountered on the way.
-fn run_unit(unit: &UnitContext) -> (ComponentReport, Vec<CheckError>) {
+fn run_unit(unit: &UnitContext<'_>) -> (ComponentReport, Vec<CheckError>) {
     unit.counters.units.fetch_add(1, Ordering::Relaxed);
     let mut degradations: Vec<CheckError> = Vec::new();
 
@@ -547,7 +518,7 @@ fn run_unit(unit: &UnitContext) -> (ComponentReport, Vec<CheckError>) {
     match attempt(unit, &optimized, inject_panic) {
         Ok(report) => return (report, degradations),
         Err(error) => {
-            record_first_failure(&unit.counters, &error);
+            record_first_failure(unit.counters, &error);
             degradations.push(error);
         }
     }
@@ -570,7 +541,7 @@ fn run_unit(unit: &UnitContext) -> (ComponentReport, Vec<CheckError>) {
                     Severity::Recoverable,
                     format!("verdict supplied by naive fallback after: {}", cause.detail),
                 )
-                .for_component(unit.component.as_str())
+                .for_component(unit.module.name().as_str())
                 .at_attempt(retry);
                 degradations.push(marker.clone());
                 report.degraded = Some(marker);
@@ -592,11 +563,11 @@ fn run_unit(unit: &UnitContext) -> (ComponentReport, Vec<CheckError>) {
             degradations.last().map_or("unknown failure", |e| e.detail.as_str())
         ),
     )
-    .for_component(unit.component.as_str())
+    .for_component(unit.module.name().as_str())
     .at_attempt(unit.config.retries);
     degradations.push(fatal.clone());
     let report = ComponentReport {
-        name: unit.component,
+        name: unit.module.name(),
         obligations: 0,
         proved: 0,
         diagnostics: vec![fatal.to_diagnostic()],
@@ -638,7 +609,7 @@ fn install_quiet_panic_hook() {
 /// One ladder rung: checks the unit's component under `options` inside
 /// `catch_unwind`, classifying any panic into a structured [`CheckError`].
 fn attempt(
-    unit: &UnitContext,
+    unit: &UnitContext<'_>,
     options: &CheckOptions,
     inject_panic: bool,
 ) -> Result<ComponentReport, CheckError> {
@@ -647,19 +618,14 @@ fn attempt(
         if inject_panic {
             std::panic::panic_any(InjectedPanic { site: unit.site });
         }
-        let lib = CompLibrary::build(&unit.program).expect("validated by the caller");
-        let module = lib
-            .iter()
-            .find(|m| m.name() == unit.component)
-            .expect("component enumerated by the caller");
-        check_component_with(&lib, module, options)
+        check_component_with(unit.lib, unit.module, options)
     }));
     PANIC_QUIET.with(|quiet| quiet.set(false));
-    result.map_err(|payload| classify(&*payload, unit.component))
+    result.map_err(|payload| classify(&*payload, unit.module.name().as_str()))
 }
 
 /// Maps a panic payload to the structured error taxonomy.
-fn classify(payload: &(dyn std::any::Any + Send), component: Symbol) -> CheckError {
+fn classify(payload: &(dyn std::any::Any + Send), component: &str) -> CheckError {
     let error = if let Some(b) = payload.downcast_ref::<BudgetExhausted>() {
         match b.kind {
             BudgetKind::Deadline => CheckError::new(
@@ -686,7 +652,7 @@ fn classify(payload: &(dyn std::any::Any + Send), component: Symbol) -> CheckErr
             WorkerPanic::from_payload(payload).message,
         )
     };
-    error.for_component(component.as_str())
+    error.for_component(component)
 }
 
 fn record_first_failure(counters: &Counters, error: &CheckError) {
@@ -707,13 +673,12 @@ fn record_first_failure(counters: &Counters, error: &CheckError) {
 mod tests {
     use super::*;
     use lilac_ast::{Cmd, Constraint};
-    use lilac_core::check_program_with;
+    use lilac_core::{check_program_incremental, check_program_with};
     use lilac_designs::Design;
     use lilac_util::Span;
 
-    fn quiet_config(workers: usize) -> ServiceConfig {
+    fn quiet_config() -> ServiceConfig {
         ServiceConfig {
-            workers,
             // No backoff in tests: the ladder's sleep is irrelevant to the
             // properties under test.
             backoff: Duration::ZERO,
@@ -723,7 +688,7 @@ mod tests {
 
     #[test]
     fn service_matches_oneshot_checker_on_bundled_designs() {
-        let service = CheckService::new(quiet_config(2));
+        let service = CheckService::new(quiet_config());
         for design in Design::all() {
             let program = design.program().expect("bundled design parses");
             let outcome = service.check(&program);
@@ -749,7 +714,7 @@ mod tests {
 
     #[test]
     fn warm_cache_accumulates_across_requests() {
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         let program = Design::Fpu.program().expect("FPU parses");
         service.check(&program);
         let after_first = service.cache_entries();
@@ -765,7 +730,7 @@ mod tests {
             check_program_with(&program, &CheckOptions::naive()).expect("FPU checks clean");
         let mut saw_degradation = false;
         for seed in 0..6u64 {
-            let config = ServiceConfig { faults: FaultPlan::seeded(seed), ..quiet_config(2) };
+            let config = ServiceConfig { faults: FaultPlan::seeded(seed), ..quiet_config() };
             let service = CheckService::new(config);
             for _ in 0..3 {
                 let outcome = service.check(&program);
@@ -788,7 +753,6 @@ mod tests {
         let run = |seed: u64| {
             let service = CheckService::new(ServiceConfig {
                 faults: FaultPlan::seeded(seed),
-                workers: 1,
                 backoff: Duration::ZERO,
                 ..ServiceConfig::default()
             });
@@ -805,7 +769,7 @@ mod tests {
 
     #[test]
     fn recycle_cache_is_a_no_op_without_faults() {
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         let program = Design::Gbp.program().expect("GBP parses");
         service.check(&program);
         let before = service.cache_entries();
@@ -817,7 +781,7 @@ mod tests {
 
     #[test]
     fn library_errors_take_no_ladder() {
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         // Two components with the same name: rejected by CompLibrary::build.
         let (program, _map) = lilac_ast::parse_program(
             "dup.lilac",
@@ -833,7 +797,7 @@ mod tests {
 
     #[test]
     fn incremental_matches_check_and_replays_without_redispatch() {
-        let service = CheckService::new(quiet_config(2));
+        let service = CheckService::new(quiet_config());
         // FPU (plus the stdlib it bundles) checks clean with no diagnostics
         // at all, so every component's verdict is cacheable.
         let program = Design::Fpu.program().expect("FPU parses");
@@ -848,7 +812,7 @@ mod tests {
             _ => panic!("FPU checks clean on both paths"),
         }
         // Replaying the identical program serves every component from the
-        // report cache: no unit ever reaches the pool.
+        // report cache: no unit is dispatched.
         let units_after_cold = service.stats().units;
         let warm = service.check_incremental(&program);
         let stats = service.stats();
@@ -874,7 +838,7 @@ mod tests {
         let bad_src = good_src.replace("new Reg[#W]<G+1>", "new Reg[#W]<G+2>");
         let (good, _map) = lilac_ast::parse_program("good.lilac", good_src).expect("parses");
         let (bad, _map) = lilac_ast::parse_program("bad.lilac", &bad_src).expect("parses");
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         assert!(service.check_incremental(&good).verdict.is_ok(), "baseline checks clean");
         assert_eq!(service.report_cache_len(), 1, "Delay2's clean verdict is cached");
         let outcome = service.check_incremental(&bad);
@@ -909,7 +873,7 @@ mod tests {
         let edited_src = base_src.replace("comp Mid[#W]<G:1>", "comp Mid[#W, #Unused = 0]<G:1>");
         let (base, _map) = lilac_ast::parse_program("base.lilac", base_src).expect("parses");
         let (edited, _map) = lilac_ast::parse_program("edited.lilac", &edited_src).expect("parses");
-        let service = CheckService::new(quiet_config(1));
+        let service = CheckService::new(quiet_config());
         assert!(service.check_incremental(&base).verdict.is_ok());
         assert_eq!(service.stats().report_misses, 2);
         assert!(service.check_incremental(&edited).verdict.is_ok());
@@ -929,7 +893,7 @@ mod tests {
         let components =
             program.modules.iter().filter(|m| matches!(m.kind, ModuleKind::Comp { .. })).count();
         for seed in 0..4u64 {
-            let config = ServiceConfig { faults: FaultPlan::seeded(seed), ..quiet_config(2) };
+            let config = ServiceConfig { faults: FaultPlan::seeded(seed), ..quiet_config() };
             let service = CheckService::new(config);
             for _ in 0..2 {
                 let outcome = service.check_incremental(&program);
@@ -954,7 +918,7 @@ mod tests {
         let path = dir.join("reports.bin");
         let config = |path: &std::path::Path| ServiceConfig {
             report_cache_path: Some(path.to_path_buf()),
-            ..quiet_config(1)
+            ..quiet_config()
         };
         let program = Design::Fpu.program().expect("FPU parses");
         let first = CheckService::new(config(&path));
@@ -989,25 +953,27 @@ mod tests {
     fn report_cache_admission_is_independent_of_worker_count() {
         // FPU has more clean components than a two-entry cache holds, so
         // which two survive FIFO eviction depends on admission order alone.
+        // Images list entries in key order: equal sets, equal bytes.
         let dir = std::env::temp_dir().join(format!("lilac-svc-admission-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let program = Design::Fpu.program().expect("FPU parses");
-        let cached_set = |workers: usize, run: usize| {
-            let path = dir.join(format!("reports-{workers}-{run}.bin"));
-            let _ = std::fs::remove_file(&path);
+        let serial_path = dir.join("serial.bin");
+        let mut store = PriorReports::with_capacity(2);
+        let serial_options = CheckOptions { parallel: false, ..CheckOptions::default() };
+        check_program_incremental(&program, &serial_options, &mut store).expect("FPU checks clean");
+        assert_eq!(store.save(&serial_path).expect("save succeeds"), 2);
+        let serial = std::fs::read(&serial_path).expect("image readable");
+        for run in 0..20 {
+            let path = dir.join(format!("service-{run}.bin"));
             let service = CheckService::new(ServiceConfig {
                 report_cache_capacity: 2,
                 report_cache_path: Some(path.clone()),
-                ..quiet_config(workers)
+                ..quiet_config()
             });
             assert!(service.check_incremental(&program).verdict.is_ok());
             assert_eq!(service.save_report_cache().expect("save succeeds"), Some(2));
-            // Images list entries in key order: equal sets, equal bytes.
-            std::fs::read(&path).expect("image readable")
-        };
-        let serial = cached_set(1, 0);
-        for run in 0..20 {
-            assert_eq!(cached_set(2, run), serial, "run {run}: 2 workers kept a different set");
+            let image = std::fs::read(&path).expect("image readable");
+            assert_eq!(image, serial, "run {run}: the service kept a different set than serial");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1046,14 +1012,14 @@ mod tests {
                 p
             })
             .collect();
-        let cold_service = CheckService::new(quiet_config(2));
+        let cold_service = CheckService::new(quiet_config());
         cold_service.check(&base);
         let cold_start = Instant::now();
         for request in &requests {
             assert!(cold_service.check(request).verdict.is_ok());
         }
         let cold = cold_start.elapsed();
-        let warm_service = CheckService::new(quiet_config(2));
+        let warm_service = CheckService::new(quiet_config());
         warm_service.check_incremental(&base);
         let warm_start = Instant::now();
         for request in &requests {

@@ -513,11 +513,6 @@ impl Solver {
         }
     }
 
-    /// The facts in the current scope, oldest first.
-    pub fn facts_iter(&self) -> impl Iterator<Item = &Pred> {
-        self.facts.chain_from(self.facts.head).into_iter().map(|id| self.facts.pred(id))
-    }
-
     /// Number of facts in the current scope.
     pub fn facts_len(&self) -> usize {
         self.facts.chain_from(self.facts.head).len()

@@ -13,7 +13,14 @@
 //! contract (for callers with no failure story) but is built on the same
 //! isolation: all items complete and all workers are joined before the first
 //! captured panic is re-raised.
+//!
+//! Nesting: a fan-out started from inside a worker of another fan-out runs
+//! inline on that worker ([`worker_count`] reports 1 there). The outer
+//! fan-out already occupies the cores, so spawning again would only
+//! oversubscribe them — a campaign's shards would each spawn a thread per
+//! component of every check.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -52,11 +59,20 @@ impl std::fmt::Display for WorkerPanic {
     }
 }
 
+thread_local! {
+    /// True on a thread running items of a [`try_par_map`] fan-out.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Number of worker threads to use for `items` work items: the machine's
 /// available parallelism, capped by the number of items, and overridable with
 /// the `LILAC_THREADS` environment variable (a value of `1` forces serial
-/// execution).
+/// execution). Inside a [`try_par_map`] worker it is always 1, so nested
+/// fan-outs run inline.
 pub fn worker_count(items: usize) -> usize {
+    if IN_WORKER.with(Cell::get) {
+        return 1;
+    }
     let hw = std::env::var("LILAC_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -87,11 +103,14 @@ where
         items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(idx) else { break };
-                let result = run(item);
-                *slots[idx].lock().expect("result slot poisoned") = Some(result);
+            scope.spawn(|| {
+                IN_WORKER.with(|flag| flag.set(true));
+                loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(idx) else { break };
+                    let result = run(item);
+                    *slots[idx].lock().expect("result slot poisoned") = Some(result);
+                }
             });
         }
     });
@@ -202,6 +221,36 @@ mod tests {
             std::panic::panic_any(crate::fault::InjectedPanic { site })
         });
         assert!(results[0].as_ref().unwrap_err().message.contains("injected panic"));
+    }
+
+    #[test]
+    fn nested_fan_out_runs_inline_on_its_worker() {
+        let outer: Vec<usize> = (0..4).collect();
+        let results = try_par_map(&outer, |&o| {
+            let worker = std::thread::current().id();
+            let inner: Vec<usize> = (0..8).collect();
+            let nested = try_par_map(&inner, |&i| {
+                if i == 5 {
+                    panic!("nested item {o}.{i}");
+                }
+                (std::thread::current().id(), o * 100 + i)
+            });
+            (worker, nested)
+        });
+        for (o, result) in results.into_iter().enumerate() {
+            let (worker, nested) = result.expect("outer items do not panic");
+            assert_eq!(nested.len(), 8);
+            for (i, r) in nested.iter().enumerate() {
+                if i == 5 {
+                    let p = r.as_ref().expect_err("the nested panic stays in its slot");
+                    assert!(p.message.contains(&format!("nested item {o}.5")), "{}", p.message);
+                } else {
+                    let (thread, value) = r.as_ref().expect("healthy nested items survive");
+                    assert_eq!(*thread, worker, "nested item {o}.{i} left its worker");
+                    assert_eq!(*value, o * 100 + i, "nested results keep input order");
+                }
+            }
+        }
     }
 
     #[test]
