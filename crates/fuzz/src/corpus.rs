@@ -250,7 +250,7 @@ pub fn run_text(text: &str) -> Result<(), String> {
     // The incremental re-checking oracle runs on every replay — rejections
     // included, since a stale accept of a pinned-reject case would be
     // exactly the bug the content hash exists to prevent.
-    crate::oracle::incremental_stream(&program, d.seed)
+    crate::oracle::incremental_stream(&program, &fast, d.seed)
         .map_err(|f| format!("{}: {}", f.oracle, f.detail))?;
 
     if !d.expect_check_ok {

@@ -5,7 +5,7 @@
 //! *well-typed-by-construction* Lilac programs — compositions of standard
 //! library components, loops and bundles, parameterized generated
 //! sub-components, and FloPoCo generator invocations — and pushes each one
-//! through ten differential oracles (see [`oracle`]):
+//! through eleven differential oracles (see [`oracle`]):
 //!
 //! 1. every checker configuration (optimized / serial / shared-cache /
 //!    naive) reaches the same verdict;
@@ -45,7 +45,16 @@
 //!     re-checked incrementally ([`lilac_core::check_program_incremental`])
 //!     against one [`lilac_core::PriorReports`] verdict store, reaches the
 //!     from-scratch verdict on every request, and the hash-preserving edits
-//!     replay entirely from cache (the incremental re-checking oracle).
+//!     replay entirely from cache (the incremental re-checking oracle);
+//! 11. the known-bits + interval abstract interpretation of the raw netlist
+//!     (`lilac_analysis::analyze`) contains every concretely simulated value
+//!     on every net, every cycle, and every output in every lane of the
+//!     batched compiled run (the abstract interpretation oracle).
+//!
+//! A case runs oracle 1's optimized check on the calling thread, then fans
+//! its remaining oracles out as three independent lanes and reports the
+//! failure the sequential oracle order would hit first (see [`oracle`]'s
+//! schedule).
 //!
 //! A sixth of the cases carry a deliberate one-cycle timing fault and must
 //! be *rejected* — identically — by every checker configuration.

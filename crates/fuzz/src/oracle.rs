@@ -81,6 +81,35 @@
 //! All simulation engines are driven through the one [`SimBackend`]
 //! contract, so adding an engine is one [`Engine`] constructor — not
 //! another copy of the drive loop.
+//!
+//! # Schedule
+//!
+//! [`run_case`] first runs oracle 1's optimized (`fast`,
+//! [`CheckOptions::default`]) check on the calling thread, so its
+//! per-component fan-out is fuzzed for real whenever the caller is not
+//! itself a fan-out worker. Every other oracle depends only on the program
+//! and that verdict, so the case then fans its independent groups out as
+//! three lanes with one [`lilac_util::par::par_map`]:
+//!
+//! * `Lane::Checkers` — the serial, naive and warm-shared-cache
+//!   configurations compared against `fast`, oracle 8's service check, and
+//!   the accept/reject expectation (the only lane touching session state);
+//! * `Lane::Incremental` — oracle 10's editing session, whose first
+//!   from-scratch verdict *is* `fast` (same program, same options) rather
+//!   than a second identical check;
+//! * `Lane::Simulate` — the print/parse round trip, then elaboration and
+//!   the simulation-family oracles (2, 4–7, 9, 11) when `fast` is `Ok`.
+//!
+//! Checks inside a lane run their component fan-outs inline (a
+//! `lilac_util::par` fan-out nested in a worker does not spawn), so a case
+//! starts two fan-outs — `fast`'s components and the millisecond-sized
+//! lanes — instead of one per check, each over a few ~150 µs components.
+//! The lanes' results are merged by `merge_lanes`, which reports the
+//! failure the sequential order would have hit first: round trip, then
+//! checker A/B / service / expectation, then incremental, then the
+//! simulation family. One side effect differs from a sequential run: when
+//! the round trip fails, the checkers lane has still run, so the session's
+//! shared cache and service have seen the case.
 
 use crate::mutate::{self, Mutation};
 use crate::scenario::{eval_gen, eval_steps, Scenario};
@@ -139,7 +168,7 @@ pub struct CaseStats {
 /// [`CheckService`] behind the eighth oracle, with its own persistent
 /// cache and (optionally) seeded fault plan. A session owns no threads:
 /// the service fans each request out with `lilac_util::par`, inline when
-/// the session runs on a campaign shard's worker.
+/// it runs on a fan-out worker (a case's checkers lane, a campaign shard).
 #[derive(Default)]
 pub struct Session {
     shared: Option<SharedCache>,
@@ -274,13 +303,15 @@ fn describe_check(r: &Result<CheckReport, LilacError>) -> String {
     }
 }
 
-/// Oracle 1: the four checker configurations must agree with each other and
-/// with the scenario's expectation. Returns the optimized report on success.
+/// Oracle 1 (with oracle 8 and the expectation): the serial, naive and
+/// warm-shared-cache checker configurations must agree with `fast`, the
+/// optimized check of the same program; the service must agree with the
+/// naive checker; and `fast` must accept exactly the clean cases.
 fn checker_ab(
     synth: &Synthesized,
+    fast: &Result<CheckReport, LilacError>,
     session: &Session,
-) -> Result<Result<CheckReport, LilacError>, Failure> {
-    let fast = check_program_with(&synth.program, &CheckOptions::default());
+) -> Result<(), Failure> {
     let serial = check_program_with(
         &synth.program,
         &CheckOptions { parallel: false, ..CheckOptions::default() },
@@ -296,7 +327,7 @@ fn checker_ab(
         configs.push(("warm-shared-cache", &warm));
     }
     for (name, other) in configs {
-        let agree = match (&fast, other) {
+        let agree = match (fast, other) {
             (Ok(a), Ok(b)) => a.equivalent(b),
             (Err(a), Err(b)) => errors_agree(a, b),
             _ => false,
@@ -306,7 +337,7 @@ fn checker_ab(
                 "checker-ab",
                 format!(
                     "optimized and {name} checkers disagree: {} vs {}",
-                    describe_check(&fast),
+                    describe_check(fast),
                     describe_check(other)
                 ),
             ));
@@ -343,9 +374,9 @@ fn checker_ab(
     if fast.is_ok() != synth.expect_check_ok {
         let oracle =
             if synth.expect_check_ok { "well-typed-rejected" } else { "ill-timed-accepted" };
-        return Err(Failure::new(oracle, describe_check(&fast)));
+        return Err(Failure::new(oracle, describe_check(fast)));
     }
-    Ok(fast)
+    Ok(())
 }
 
 /// Oracle 3: print → parse → print must be a fixpoint.
@@ -878,17 +909,24 @@ fn simulate(scenario: &Scenario, synth: &Synthesized) -> Result<DriveReport, Fai
 /// edit one component's body, edit an instantiated callee's signature
 /// ([`Mutation::SESSION`]) — re-checking each revision incrementally
 /// against one [`PriorReports`] store of the prior revisions' clean
-/// verdicts, and demands the from-scratch verdict on every request. Each mutant is printed and
+/// verdicts, and demands the from-scratch verdict on every request.
+/// `scratch` is the from-scratch check of `program` itself under
+/// [`CheckOptions::default`] (oracle 1's `fast` verdict), so the session's
+/// first request re-checks only incrementally. Each mutant is printed and
 /// re-parsed first, so replay hits also prove the content hash ignores
 /// spans and file identities. Renames and reorders over a fully clean
 /// predecessor must be complete cache hits. The mutation stream draws from
 /// its own [`Rng`], never the scenario generator's, so the run fingerprint
 /// is untouched.
-pub(crate) fn incremental_stream(program: &lilac_ast::Program, seed: u64) -> Result<(), Failure> {
+pub(crate) fn incremental_stream(
+    program: &lilac_ast::Program,
+    scratch: &Result<CheckReport, LilacError>,
+    seed: u64,
+) -> Result<(), Failure> {
     let options = CheckOptions::default();
     let mut prior = PriorReports::new();
     let mut rng = Rng::new(seed ^ 0x10c4_e56e_a11d_ab1e);
-    let mut prev_all_clean = compare_incremental(program, &options, &mut prior, None)?;
+    let mut prev_all_clean = compare_incremental(program, scratch, &options, &mut prior, None)?;
     let mut current = program.clone();
     for mutation in Mutation::SESSION {
         let mutant = mutate::apply(&current, mutation, &mut rng);
@@ -900,27 +938,29 @@ pub(crate) fn incremental_stream(program: &lilac_ast::Program, seed: u64) -> Res
             )
         })?;
         let expect_all_hits = (mutation.preserves_hashes() && prev_all_clean).then_some(mutation);
-        prev_all_clean = compare_incremental(&reparsed, &options, &mut prior, expect_all_hits)?;
+        let scratch = check_program_with(&reparsed, &options);
+        prev_all_clean =
+            compare_incremental(&reparsed, &scratch, &options, &mut prior, expect_all_hits)?;
         current = reparsed;
     }
     Ok(())
 }
 
 /// One request of the editing session: the incremental check (threading
-/// `prior`) and a from-scratch check must reach the same verdict; when
+/// `prior`) must reach `scratch`, the from-scratch verdict; when
 /// `expect_all_hits` names a hash-preserving mutation over a fully clean
 /// predecessor, not a single component may miss the cache. Returns whether
 /// this request's report is fully clean (every verdict cacheable), which
 /// gates the *next* request's all-hits expectation.
 fn compare_incremental(
     program: &lilac_ast::Program,
+    scratch: &Result<CheckReport, LilacError>,
     options: &CheckOptions,
     prior: &mut PriorReports,
     expect_all_hits: Option<Mutation>,
 ) -> Result<bool, Failure> {
-    let scratch = check_program_with(program, options);
     let incremental = check_program_incremental(program, options, prior);
-    match (&incremental, &scratch) {
+    match (&incremental, scratch) {
         (Ok(inc), Ok(from_scratch)) => {
             if !inc.report.equivalent(from_scratch) {
                 return Err(Failure::new(
@@ -928,7 +968,7 @@ fn compare_incremental(
                     format!(
                         "incremental and from-scratch reports differ: {} vs {}",
                         describe_check(&Ok(inc.report.clone())),
-                        describe_check(&scratch)
+                        describe_check(scratch)
                     ),
                 ));
             }
@@ -961,35 +1001,171 @@ fn compare_incremental(
                 "incremental",
                 format!(
                     "incremental and from-scratch verdicts differ: {inc_desc} vs {}",
-                    describe_check(&scratch)
+                    describe_check(scratch)
                 ),
             ))
         }
     }
 }
 
-/// Runs every oracle over one scenario. `Err` carries the first
-/// disagreement; `Ok` carries the case statistics.
+/// One independently schedulable group of a case's oracles (see the
+/// module docs' schedule).
+enum Lane {
+    /// Oracle 1's other configurations, oracle 8, and the expectation.
+    Checkers,
+    /// Oracle 10's editing session.
+    Incremental,
+    /// Oracle 3, then (on a checked program) the simulation family.
+    Simulate,
+}
+
+/// What one [`Lane`] found.
+enum LaneOutcome {
+    Checkers(Result<(), Failure>),
+    Incremental(Result<(), Failure>),
+    Simulate {
+        /// Oracle 3's verdict.
+        round_trip: Result<(), Failure>,
+        /// The simulation family's verdict; `None` when the program did not
+        /// check or the round trip already failed.
+        drive: Option<Result<DriveReport, Failure>>,
+    },
+}
+
+/// Merges a case's lane outcomes, in whatever order the lanes are listed,
+/// into the verdict the sequential oracle order reports: the first failure
+/// among round trip, checker A/B (with the service and the expectation),
+/// incremental, and the simulation family. `Ok` carries the drive report
+/// when the simulation family ran.
+fn merge_lanes(outcomes: Vec<LaneOutcome>) -> Result<Option<DriveReport>, Failure> {
+    let (mut round_trip, mut checkers, mut incremental, mut drive) = (Ok(()), Ok(()), Ok(()), None);
+    for outcome in outcomes {
+        match outcome {
+            LaneOutcome::Checkers(r) => checkers = r,
+            LaneOutcome::Incremental(r) => incremental = r,
+            LaneOutcome::Simulate { round_trip: r, drive: d } => {
+                round_trip = r;
+                drive = d;
+            }
+        }
+    }
+    round_trip?;
+    checkers?;
+    incremental?;
+    drive.transpose()
+}
+
+/// Runs every oracle over one scenario. `Err` carries the failure the
+/// sequential oracle order reports first; `Ok` carries the case statistics.
+/// Oracle 1's `fast` check runs first on the calling thread, then the
+/// three lanes fan out over one `par_map` (see the module docs).
 pub fn run_case(scenario: &Scenario, session: &Session) -> Result<CaseStats, Failure> {
     let synth = crate::synth::synthesize(scenario);
-    round_trip(&synth)?;
-    let check = checker_ab(&synth, session)?;
-    incremental_stream(&synth.program, scenario.seed)?;
+    let fast = check_program_with(&synth.program, &CheckOptions::default());
+    let outcomes =
+        lilac_util::par::par_map(&[Lane::Checkers, Lane::Incremental, Lane::Simulate], |lane| {
+            match lane {
+                Lane::Checkers => LaneOutcome::Checkers(checker_ab(&synth, &fast, session)),
+                Lane::Incremental => LaneOutcome::Incremental(incremental_stream(
+                    &synth.program,
+                    &fast,
+                    scenario.seed,
+                )),
+                Lane::Simulate => {
+                    let round_trip = round_trip(&synth);
+                    let drive =
+                        (round_trip.is_ok() && fast.is_ok()).then(|| simulate(scenario, &synth));
+                    LaneOutcome::Simulate { round_trip, drive }
+                }
+            }
+        });
+    let drive = merge_lanes(outcomes)?;
     let mut stats = CaseStats {
         modules: synth.program.modules.len(),
-        checked_ok: check.is_ok(),
+        checked_ok: fast.is_ok(),
         ..CaseStats::default()
     };
-    stats.coverage.set_if(crate::CoverageSignature::CHECKED, check.is_ok());
+    stats.coverage.set_if(crate::CoverageSignature::CHECKED, fast.is_ok());
     stats.coverage.set_if(crate::CoverageSignature::GEN_BLOCK, scenario.gen_block.is_some());
     stats.coverage.set_if(crate::CoverageSignature::SUB_COMPONENT, !scenario.subs.is_empty());
     stats.coverage.set_if(crate::CoverageSignature::WIDE, scenario.width >= 16);
-    if let Ok(report) = &check {
+    if let (Ok(report), Some(drive)) = (&fast, drive) {
         stats.obligations = report.total_obligations();
         stats.queries = report.solver_stats().queries as u64;
-        let drive = simulate(scenario, &synth)?;
         stats.cycles = drive.cycles;
         stats.coverage.0 |= drive.coverage.0;
     }
     Ok(stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fail(oracle: &'static str) -> Failure {
+        Failure::new(oracle, "planted")
+    }
+
+    fn drive() -> DriveReport {
+        DriveReport { cycles: 7, coverage: crate::CoverageSignature::default() }
+    }
+
+    /// Outcomes in the fan-out's lane order.
+    fn lanes(
+        checkers: Result<(), Failure>,
+        incremental: Result<(), Failure>,
+        round_trip: Result<(), Failure>,
+        drive: Option<Result<DriveReport, Failure>>,
+    ) -> Vec<LaneOutcome> {
+        vec![
+            LaneOutcome::Checkers(checkers),
+            LaneOutcome::Incremental(incremental),
+            LaneOutcome::Simulate { round_trip, drive },
+        ]
+    }
+
+    fn first_failure(outcomes: Vec<LaneOutcome>) -> &'static str {
+        merge_lanes(outcomes).err().expect("a planted failure must surface").oracle
+    }
+
+    #[test]
+    fn merge_reports_the_sequential_first_failure() {
+        let all = || {
+            lanes(
+                Err(fail("checker-ab")),
+                Err(fail("incremental")),
+                Ok(()),
+                Some(Err(fail("value"))),
+            )
+        };
+        assert_eq!(first_failure(all()), "checker-ab");
+        // The order the lanes are listed in never matters.
+        let mut reversed = all();
+        reversed.reverse();
+        assert_eq!(first_failure(reversed), "checker-ab");
+        assert_eq!(
+            first_failure(lanes(
+                Err(fail("service")),
+                Err(fail("incremental")),
+                Err(fail("round-trip-print")),
+                None
+            )),
+            "round-trip-print"
+        );
+        assert_eq!(
+            first_failure(lanes(Ok(()), Err(fail("incremental")), Ok(()), Some(Err(fail("opt"))))),
+            "incremental"
+        );
+        assert_eq!(
+            first_failure(lanes(Ok(()), Ok(()), Ok(()), Some(Err(fail("verilog"))))),
+            "verilog"
+        );
+    }
+
+    #[test]
+    fn merge_passes_the_drive_report_through() {
+        let merged = merge_lanes(lanes(Ok(()), Ok(()), Ok(()), Some(Ok(drive())))).expect("clean");
+        assert_eq!(merged.map(|d| d.cycles), Some(7));
+        assert!(merge_lanes(lanes(Ok(()), Ok(()), Ok(()), None)).expect("clean").is_none());
+    }
 }
